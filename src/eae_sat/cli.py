@@ -23,7 +23,6 @@ from .solver import (
     check_certificate,
 )
 from .structures import ConstructionConflict, OracleBudgetExceeded
-from .witness import WitnessBudgetExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,8 +53,6 @@ def _build_parser():
                         help="machine-readable output")
         sp.add_argument("-o", "--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-        sp.add_argument("--jobs", type=int, default=1, metavar="N")
-        sp.add_argument("--max-witnesses", type=int, default=10**6)
         sp.add_argument("--max-structures", type=int, default=10**7)
         sp.add_argument("--max-game-depth", type=int,
                         default=DEFAULT_GAME_DEPTH_BUDGET)
@@ -91,8 +88,7 @@ def _build_parser():
 
 
 def _validate_config(args):
-    for name in ("jobs", "max_witnesses", "max_structures",
-                 "max_game_depth", "arity_cap"):
+    for name in ("max_structures", "max_game_depth", "arity_cap"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
     if getattr(args, "depth", 0) < 0:
@@ -119,7 +115,7 @@ class _Out:
 
 
 def _solve(sentence, method, args):
-    kwargs = {"jobs": args.jobs}
+    kwargs = {}
     if method == "game":
         kwargs["depth_budget"] = args.max_game_depth
     if method == "extended":
@@ -154,7 +150,7 @@ def cmd_check(args, out):
 
 def cmd_model(args, out):
     sentence = syntax.load_sentence(args.input)
-    outcome = solver.gfp_solve(sentence, jobs=args.jobs)
+    outcome = solver.gfp_solve(sentence)
     if outcome.verdict == "UNSAT":
         out.write("UNSAT: no model to build\n")
         return EXIT_UNSAT
@@ -265,10 +261,9 @@ def cmd_brute(args, out):
 
 def cmd_certify(args, out):
     sentence = syntax.load_sentence(args.input)
-    with open(args.cert, encoding="utf-8") as fh:
-        obj = json.load(fh)
     try:
-        cert = serialize.certificate_from_json(obj, sentence)
+        with open(args.cert, encoding="utf-8") as fh:
+            cert = serialize.certificate_from_json(json.load(fh), sentence)
     except (KeyError, ValueError, TypeError) as e:
         out.write(f"malformed certificate: {e}\n")
         return EXIT_DISAGREE
@@ -307,20 +302,19 @@ def main(argv=None, stdout=None, stderr=None):
     out = _Out(getattr(args, "output", None))
     try:
         code = _COMMANDS[args.command](args, out)
-    except FileNotFoundError as e:
+        out.flush(stdout)
+    except OSError as e:
         stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    except (syntax.ParseError, syntax.FragmentError) as e:
+    except (syntax.ParseError, syntax.FragmentError, UnicodeDecodeError) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_PARSE
-    except (ArityCapExceeded, GameDepthExceeded, WitnessBudgetExceeded,
-            OracleBudgetExceeded) as e:
+    except (ArityCapExceeded, GameDepthExceeded, OracleBudgetExceeded) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except (InternalInvariantError, structures.MissingStrategyEntry) as e:
         stderr.write(f"internal error: {e}\n")
         return EXIT_INTERNAL
-    out.flush(stdout)
     return code
 
 

@@ -68,15 +68,6 @@ class ExtendedType:
         return n
 
 
-@dataclass(frozen=True)
-class GameState:
-    """State of the counter-bounded solving game for one starting type."""
-
-    pi0: OneType
-    current: OneType
-    counter: int
-
-
 def enumerate_one_types(sig):
     """All 2^{|sig|} 1-types in canonical order."""
     k = len(sig)

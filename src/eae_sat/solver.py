@@ -1,18 +1,21 @@
 """Deterministic satisfiability solvers for the fragment.
 
-Three methods, all driven by the same witness search:
+All three methods run one engine, `_eliminate`: starting from a finite
+set of states, repeatedly discard every state that has no witness whose
+realized states all survive, until nothing changes.  A candidate driver
+tries each starting type pi0 in canonical order and stops at the first
+one accepted.  The methods differ only in their states:
 
-* ``gfp_solve`` — greatest-fixpoint elimination over 1-types: for each
-  candidate starting type pi0, repeatedly discard types that lack a
-  witness whose realized types all survive; SAT iff pi0 survives.
-* ``bounded_game_solve`` — the literal counter semantics: acceptance is
-  decided by memoized recursion Acc(pi, c), where the game is won
-  outright once the counter reaches 2^{|sigma|} + 1.
-* ``extended_solve`` — the same fixpoint over z-relative extended types,
-  a strictly more conservative state space that also tracks the current
-  element's relations to the fixed z-element.
+* ``gfp_solve`` — 1-types; pi0 is accepted iff it survives.
+* ``bounded_game_solve`` — the counter-bounded reading of the same
+  fixpoint: Acc(pi, c) with the game won outright at counter
+  2^{|sigma|} + 1.  Since the lattice of type sets is shorter than that
+  bound, Acc(., 0) is exactly the gfp survivor set.
+* ``extended_solve`` — z-relative extended types, a strictly more
+  conservative state space that also tracks the current element's
+  relations to the fixed z-element.
 
-SAT results from the fixpoint methods carry a positional-strategy
+SAT results from gfp and extended carry a positional-strategy
 certificate that an independent checker can validate; UNSAT results
 carry per-candidate elimination traces.
 """
@@ -20,11 +23,11 @@ carry per-candidate elimination traces.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .onetypes import (
     DEFAULT_ARITY_CAP,
+    ExtendedType,
     check_arity_cap,
     enumerate_extended_types,
     enumerate_one_types,
@@ -103,8 +106,12 @@ class SolveOutcome:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-class _WitnessCache:
-    """Memoizes witness searches per (pi0, pi, allowed-set) triple."""
+class _Memo:
+    """Witness searches memoized by (pi0, state, allowed-set).
+
+    A state is a 1-type or an extended type; the search follows its kind.
+    `record`, when given, collects the key of every search actually run.
+    """
 
     def __init__(self, sentence, record=None):
         self.sentence = sentence
@@ -113,237 +120,133 @@ class _WitnessCache:
         self.hits = 0
         self.record = record
 
-    def find(self, pi0, pi, allowed):
-        key = (pi0, pi, allowed)
+    def find(self, pi0, state, allowed):
+        key = (pi0, state, allowed)
         if key in self.table:
             self.hits += 1
             return self.table[key]
         self.searches += 1
         if self.record is not None:
             self.record.append(key)
-        d = find_witness(WitnessContext(self.sentence, pi0, pi, allowed))
-        self.table[key] = d
-        return d
-
-
-class _ExtWitnessCache:
-    def __init__(self, sentence):
-        self.sentence = sentence
-        self.table = {}
-        self.searches = 0
-        self.hits = 0
-
-    def find(self, pi0, state, allowed_ext):
-        key = (pi0, state, allowed_ext)
-        if key in self.table:
-            self.hits += 1
-            return self.table[key]
-        self.searches += 1
-        d = find_ext_witness(
-            ExtWitnessContext(self.sentence, pi0, state, allowed_ext))
+        if isinstance(state, ExtendedType):
+            d = find_ext_witness(
+                ExtWitnessContext(self.sentence, pi0, state, allowed))
+        else:
+            d = find_witness(WitnessContext(self.sentence, pi0, state, allowed))
         self.table[key] = d
         return d
 
 
 # ---------------------------------------------------------------------------
-# Greatest-fixpoint elimination
+# The elimination engine and the candidate driver
 # ---------------------------------------------------------------------------
 
-def _gfp_for_pi0(sentence, all_types, pi0, cache):
-    """Eliminate until stable; returns (certificate-or-None, trace)."""
-    good = list(all_types)
+def _eliminate(pi0, states, memo):
+    """Discard states lacking a witness among the survivors, until stable."""
+    good = list(states)
     rounds = []
-    rnd = 0
     while True:
         allowed = frozenset(good)
-        removed = [pi for pi in good
-                   if cache.find(pi0, pi, allowed) is None]
+        removed = [s for s in good if memo.find(pi0, s, allowed) is None]
         if not removed:
-            break
-        rnd += 1
-        rounds.append((rnd, removed))
-        good = [pi for pi in good if pi not in set(removed)]
-    trace = EliminationTrace(pi0=pi0, rounds=rounds, surviving=list(good))
-    if pi0 not in good:
-        return None, trace
+            return EliminationTrace(pi0=pi0, rounds=rounds, surviving=good)
+        rounds.append((len(rounds) + 1, removed))
+        dead = set(removed)
+        good = [s for s in good if s not in dead]
+
+
+def _certificate(pi0, good, memo):
+    """The positional strategy over the surviving 1-types `good`."""
     allowed = frozenset(good)
-    strategy = tuple((pi, cache.find(pi0, pi, allowed)) for pi in good)
-    return Certificate(pi0=pi0, strategy=strategy), trace
+    return Certificate(pi0=pi0, strategy=tuple(
+        (pi, memo.find(pi0, pi, allowed)) for pi in good))
 
 
-def _run_candidates(candidates, worker, jobs):
-    """Per-candidate results, consumed in canonical order up to the first hit.
+def _decide(method, all_types, memo, states_of, certify=None):
+    """Try each starting type pi0 in canonical order; stop at the first accepted.
 
-    `worker(candidate)` must be a pure function.  Results past the first
-    successful candidate are ignored, so the reported outcome and the
-    aggregated statistics are identical to sequential processing.
+    `states_of(pi0)` gives (states, root): pi0 is accepted iff `root`
+    survives elimination over `states`.  `certify(pi0, surviving)`, when
+    given, builds the certificate of the accepted candidate.
     """
-    if jobs <= 1 or len(candidates) <= 1:
-        results = map(worker, candidates)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, candidates))
-    consumed = []
-    for res in results:
-        consumed.append(res)
-        if res[0] is not None:  # first successful candidate wins
-            break
-    return consumed
-
-
-def gfp_solve(sentence, jobs=1, record_contexts=None):
-    """Decide satisfiability by type elimination; the reference method."""
     t0 = time.perf_counter()
-    all_types = enumerate_one_types(sentence.signature)
-
-    def worker(pi0):
-        cache = _WitnessCache(sentence, record=record_contexts)
-        cert, trace = _gfp_for_pi0(sentence, all_types, pi0, cache)
-        return cert, trace, cache
-
-    consumed = _run_candidates(all_types, worker, jobs)
     stats = SolveStats(types_total=len(all_types))
     traces = []
-    outcome = None
-    for cert, trace, cache in consumed:
-        stats.witness_searches += cache.searches
-        stats.cache_hits += cache.hits
+    for pi0 in all_types:
+        states, root = states_of(pi0)
+        trace = _eliminate(pi0, states, memo)
         traces.append(trace)
-        if cert is not None:
-            outcome = SolveOutcome(
-                verdict="SAT", method="gfp", pi0=cert.pi0,
-                certificate=cert, stats=stats)
+        if root in trace.surviving:
+            cert = certify(pi0, trace.surviving) if certify else None
+            outcome = SolveOutcome(verdict="SAT", method=method, pi0=pi0,
+                                   certificate=cert, stats=stats)
             break
-    if outcome is None:
-        outcome = SolveOutcome(
-            verdict="UNSAT", method="gfp",
-            refutation=Refutation(traces=traces), stats=stats)
+    else:
+        outcome = SolveOutcome(verdict="UNSAT", method=method,
+                               refutation=Refutation(traces=traces),
+                               stats=stats)
+    stats.witness_searches = memo.searches
+    stats.cache_hits = memo.hits
     stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return outcome
 
 
 # ---------------------------------------------------------------------------
-# Bounded game (literal counter semantics)
+# The three methods
 # ---------------------------------------------------------------------------
 
-def bounded_game_solve(sentence, jobs=1,
-                       depth_budget=DEFAULT_GAME_DEPTH_BUDGET):
+def gfp_solve(sentence, record_contexts=None):
+    """Decide satisfiability by type elimination; the reference method."""
+    all_types = enumerate_one_types(sentence.signature)
+    memo = _Memo(sentence, record=record_contexts)
+    return _decide("gfp", all_types, memo, lambda pi0: (all_types, pi0),
+                   lambda pi0, good: _certificate(pi0, good, memo))
+
+
+def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET):
     """Decide satisfiability by the counter-bounded game.
 
     Acc(pi, D) accepts outright at depth D = 2^{|sigma|}+1; below it,
     Acc(pi, c) holds iff some witness for (pi0, pi) has all its realized
-    types accepted at counter c+1.  The per-level accepted sets are the
-    memo table of that recursion, keyed by (pi, c).
+    types accepted at counter c+1.  Each level applies one monotone
+    operator to the level above, starting from the top element, and the
+    lattice of type sets has height 2^{|sigma|} < D.  So the levels
+    reach that operator's fixpoint before counter 0, and Acc(., 0) is
+    exactly the set left by elimination run until nothing changes.
     """
-    t0 = time.perf_counter()
     all_types = enumerate_one_types(sentence.signature)
     depth = len(all_types) + 1  # 2^{|sigma|} + 1
     if depth > depth_budget:
         raise GameDepthExceeded(depth, depth_budget)
-
-    def worker(pi0):
-        cache = _WitnessCache(sentence)
-        accepted = frozenset(all_types)  # level D: accept unconditionally
-        rounds = []
-        rnd = 0
-        for _ in range(depth, 0, -1):
-            nxt = frozenset(
-                pi for pi in all_types
-                if cache.find(pi0, pi, accepted) is not None)
-            removed = [pi for pi in all_types
-                       if pi in accepted and pi not in nxt]
-            if removed:
-                rnd += 1
-                rounds.append((rnd, removed))
-            accepted = nxt
-        surviving = [pi for pi in all_types if pi in accepted]
-        trace = EliminationTrace(pi0=pi0, rounds=rounds, surviving=surviving)
-        ok = pi0 in accepted
-        return (True if ok else None), trace, cache
-
-    consumed = _run_candidates(all_types, worker, jobs)
-    stats = SolveStats(types_total=len(all_types))
-    traces = []
-    outcome = None
-    for ok, trace, cache in consumed:
-        stats.witness_searches += cache.searches
-        stats.cache_hits += cache.hits
-        traces.append(trace)
-        if ok is not None:
-            outcome = SolveOutcome(
-                verdict="SAT", method="game", pi0=trace.pi0, stats=stats)
-            break
-    if outcome is None:
-        outcome = SolveOutcome(
-            verdict="UNSAT", method="game",
-            refutation=Refutation(traces=traces), stats=stats)
-    stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return outcome
+    return _decide("game", all_types, _Memo(sentence),
+                   lambda pi0: (all_types, pi0))
 
 
-# ---------------------------------------------------------------------------
-# Extended-type fixpoint
-# ---------------------------------------------------------------------------
-
-def extended_solve(sentence, jobs=1, arity_cap=DEFAULT_ARITY_CAP):
+def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP):
     """Type elimination over z-relative extended states.
 
     SAT results carry a plain certificate for the same starting type:
     an extended strategy always shadows a plain one, so the plain
     fixpoint for that candidate must succeed (asserted, not assumed).
     """
-    t0 = time.perf_counter()
     sig = sentence.signature
     check_arity_cap(sig, arity_cap)
     all_types = enumerate_one_types(sig)
+    memo = _Memo(sentence)
 
-    def worker(pi0):
-        cache = _ExtWitnessCache(sentence)
-        states = enumerate_extended_types(sig, pi0, cap=arity_cap)
-        start = initial_extended_type(sig, pi0)
-        good = list(states)
-        rounds = []
-        rnd = 0
-        while True:
-            allowed = frozenset(good)
-            removed = [s for s in good
-                       if cache.find(pi0, s, allowed) is None]
-            if not removed:
-                break
-            rnd += 1
-            rounds.append((rnd, removed))
-            good = [s for s in good if s not in set(removed)]
-        trace = EliminationTrace(pi0=pi0, rounds=rounds, surviving=list(good))
-        ok = start in good
-        return (True if ok else None), trace, cache
+    def states_of(pi0):
+        return (enumerate_extended_types(sig, pi0, cap=arity_cap),
+                initial_extended_type(sig, pi0))
 
-    consumed = _run_candidates(all_types, worker, jobs)
-    stats = SolveStats(types_total=len(all_types))
-    traces = []
-    outcome = None
-    for ok, trace, cache in consumed:
-        stats.witness_searches += cache.searches
-        stats.cache_hits += cache.hits
-        traces.append(trace)
-        if ok is not None:
-            plain_cache = _WitnessCache(sentence)
-            cert, _ = _gfp_for_pi0(sentence, all_types, trace.pi0, plain_cache)
-            stats.witness_searches += plain_cache.searches
-            stats.cache_hits += plain_cache.hits
-            if cert is None:
-                raise InternalInvariantError(
-                    "extended fixpoint accepted a starting type the plain "
-                    "fixpoint rejects")
-            outcome = SolveOutcome(
-                verdict="SAT", method="extended", pi0=trace.pi0,
-                certificate=cert, stats=stats)
-            break
-    if outcome is None:
-        outcome = SolveOutcome(
-            verdict="UNSAT", method="extended",
-            refutation=Refutation(traces=traces), stats=stats)
-    stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return outcome
+    def certify(pi0, _):
+        good = _eliminate(pi0, all_types, memo).surviving
+        if pi0 not in good:
+            raise InternalInvariantError(
+                "extended fixpoint accepted a starting type the plain "
+                "fixpoint rejects")
+        return _certificate(pi0, good, memo)
+
+    return _decide("extended", all_types, memo, states_of, certify)
 
 
 # ---------------------------------------------------------------------------

@@ -116,20 +116,11 @@ class Signature:
     def names(self):
         return tuple(n for n, _ in self.relations)
 
-    def arity(self, name):
-        for n, a in self.relations:
-            if n == name:
-                return a
-        raise KeyError(name)
-
     def index(self, name):
         for i, (n, _) in enumerate(self.relations):
             if n == name:
                 return i
         raise KeyError(name)
-
-    def max_arity(self):
-        return max((a for _, a in self.relations), default=0)
 
 
 @dataclass(frozen=True)
@@ -154,57 +145,50 @@ class PrenexSentence:
 # AST utilities
 # ---------------------------------------------------------------------------
 
+def _leaves(matrix):
+    """Relation and equality atoms of a matrix, left to right, with repeats."""
+    out = []
+    stack = [matrix]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Rel, Eq)):
+            out.append(node)
+        elif isinstance(node, Not):
+            stack.append(node.sub)
+        else:
+            stack += (node.right, node.left)
+    return out
+
+
 def atoms_of(matrix):
     """All distinct relation atoms of a matrix, in first-occurrence order."""
-    seen = []
-    def walk(node):
-        if isinstance(node, Rel):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, Eq):
-            pass
-        elif isinstance(node, Not):
-            walk(node.sub)
-        else:
-            walk(node.left)
-            walk(node.right)
-    walk(matrix)
-    return tuple(seen)
+    return tuple(dict.fromkeys(a for a in _leaves(matrix) if isinstance(a, Rel)))
 
 
 def equalities_of(matrix):
     """All distinct equality atoms of a matrix, in first-occurrence order."""
-    seen = []
-    def walk(node):
-        if isinstance(node, Eq):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, Rel):
-            pass
-        elif isinstance(node, Not):
-            walk(node.sub)
-        else:
-            walk(node.left)
-            walk(node.right)
-    walk(matrix)
-    return tuple(seen)
+    return tuple(dict.fromkeys(e for e in _leaves(matrix) if isinstance(e, Eq)))
 
 
 def matrix_variables(matrix):
     out = set()
-    for a in atoms_of(matrix):
-        out.update(a.args)
-    for e in equalities_of(matrix):
-        out.add(e.left)
-        out.add(e.right)
+    for leaf in _leaves(matrix):
+        out.update(leaf.args if isinstance(leaf, Rel) else (leaf.left, leaf.right))
     return out
 
 
 def extract_signature(matrix):
-    """The relation symbols of a matrix with their arities (equality excluded)."""
+    """The relation symbols of a matrix with their arities (equality excluded).
+
+    Raises ParseError if a symbol is used with two different arities.
+    """
     arities = {}
     for a in atoms_of(matrix):
-        arities[a.name] = len(a.args)
+        prev = arities.setdefault(a.name, len(a.args))
+        if prev != len(a.args):
+            raise ParseError(
+                f"arity conflict for {a.name}: used with arities {prev} "
+                f"and {len(a.args)}")
     return Signature(tuple(sorted(arities.items())))
 
 
@@ -402,21 +386,9 @@ def validate_prefix(blocks, matrix):
     if free:
         raise ParseError(f"unbound variable(s) in matrix: {', '.join(sorted(free))}")
 
-    sig = _checked_signature(matrix)
     return PrenexSentence(z=z, x=x, ys=tuple(ys), matrix=matrix,
-                          signature=sig, z_synthesized=synthesized)
-
-
-def _checked_signature(matrix):
-    arities = {}
-    for a in atoms_of(matrix):
-        prev = arities.get(a.name)
-        if prev is not None and prev != len(a.args):
-            raise ParseError(
-                f"arity conflict for {a.name}: used with arities {prev} "
-                f"and {len(a.args)}")
-        arities[a.name] = len(a.args)
-    return Signature(tuple(sorted(arities.items())))
+                          signature=extract_signature(matrix),
+                          z_synthesized=synthesized)
 
 
 def parse(text):

@@ -27,7 +27,7 @@ from .onetypes import (
     enumerate_one_types,
     initial_extended_type,
 )
-from .syntax import PrenexSentence, atoms_of, equalities_of, eval_matrix
+from .syntax import PrenexSentence, atoms_of, eval_matrix
 
 
 class WitnessBudgetExceeded(Exception):

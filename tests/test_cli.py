@@ -70,13 +70,30 @@ def test_usage_errors():
     assert code == 1
     code, _, err = run()
     assert code == 1
-    code, _, err = run("check", fixture_path("s1.fo"), "--jobs", "0")
+    code, _, err = run("check", fixture_path("s1.fo"), "--max-structures", "0")
     assert code == 1
+    assert "must be positive" in err
+    for removed in (("--jobs", "2"), ("--max-witnesses", "5")):
+        code, _, err = run("check", fixture_path("s1.fo"), *removed)
+        assert code == 1
+        assert err.startswith("usage error:")
 
 
-def test_missing_file():
+def test_missing_file(tmp_path):
     code, _, err = run("check", "/nonexistent/sentence.fo")
     assert code == 1
+    # a directory where the input file should be
+    code, _, err = run("check", str(tmp_path))
+    assert (code, err[:7]) == (1, "error: ")
+    # output into a directory that does not exist
+    code, out, err = run("check", fixture_path("s1.fo"),
+                         "-o", str(tmp_path / "missing" / "out.txt"))
+    assert (code, out, err[:7]) == (1, "", "error: ")
+    # an input file that is not UTF-8
+    latin1 = tmp_path / "latin1.fo"
+    latin1.write_bytes("exists z. forall x. (x = z) # caf\xe9\n".encode("latin-1"))
+    code, _, err = run("check", str(latin1))
+    assert (code, err[:7]) == (2, "error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +211,11 @@ def test_certify_rejects_tampered(tmp_path):
                        "--cert", str(cert_path))
     assert code == 4
     assert "violation" in out
+    cert_path.write_text("not json\n")
+    code, out, _ = run("certify", fixture_path("s3.fo"),
+                       "--cert", str(cert_path))
+    assert code == 4
+    assert out.startswith("malformed certificate:")
 
 
 # ---------------------------------------------------------------------------
@@ -221,5 +243,3 @@ def test_byte_identical_reruns(argv):
     first = run(*argv)
     second = run(*argv)
     assert first == second
-    jobs = run(*argv, "--jobs", "4")
-    assert jobs == first[:1] + first[1:]

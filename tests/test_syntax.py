@@ -125,6 +125,8 @@ def test_extract_signature(s1, s2, s3):
     assert extract_signature(s3.matrix) == Signature((("E", 2),))
     s = parse("exists z. forall x. exists y. (B(x) & A(x,y))")
     assert s.signature.names == ("A", "B")  # lexicographic
+    with pytest.raises(ParseError, match="arity conflict"):
+        extract_signature(And(Rel("R", ("x",)), Rel("R", ("x", "y"))))
 
 
 def test_synthesis_neutrality():
