@@ -51,6 +51,7 @@ from .syntax import (
 from .witness import (
     ExtWitnessContext,
     ExtWitnessDescriptor,
+    SearchPlan,
     WitnessContext,
     WitnessDescriptor,
     check_descriptor,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ParseError(Exception):
@@ -117,10 +118,13 @@ class Signature:
         return tuple(n for n, _ in self.relations)
 
     def index(self, name):
-        for i, (n, _) in enumerate(self.relations):
-            if n == name:
-                return i
-        raise KeyError(name)
+        """Position of a relation symbol; KeyError if it is not in the signature."""
+        return self._positions[name]
+
+    @cached_property
+    def _positions(self):
+        # not a field, so ==, hash and repr see only `relations`
+        return {n: i for i, (n, _) in enumerate(self.relations)}
 
 
 @dataclass(frozen=True)

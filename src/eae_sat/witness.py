@@ -18,7 +18,7 @@ significant bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .onetypes import (
@@ -126,14 +126,6 @@ def _atom_keys(sentence, part):
     return sorted(keys)
 
 
-def _merge_forced(forced, key, value):
-    prev = forced.get(key)
-    if prev is None:
-        forced[key] = value
-        return True
-    return prev == value
-
-
 def _ext_forced_key(ctuple, cz):
     """If the key's classes lie in {cz, c} for one class c, return (c, pattern)."""
     nonz = set(ctuple) - {cz}
@@ -149,155 +141,291 @@ def _ext_forced_key(ctuple, cz):
     return (c, p)
 
 
-def _search(sentence, pi0, pi, allowed, ext=None):
+class _Replay:
+    """An iterator's items, produced on first demand and replayed after."""
+
+    def __init__(self, it):
+        self._it = it
+        self._items = []
+
+    def __iter__(self):
+        if self._it is None:
+            return iter(self._items)
+        return self._resume()
+
+    def _resume(self):
+        i = 0
+        while True:
+            if i == len(self._items):
+                if self._it is None:
+                    return
+                item = next(self._it, _DONE)
+                if item is _DONE:
+                    self._it = None
+                    return
+                self._items.append(item)
+            yield self._items[i]
+            i += 1
+
+
+_DONE = object()
+
+
+class _Partition:
+    """One partition's atom keys, shared by the plain and extended searches.
+
+    It refers to nothing that refers back to it, so a plan is freed by
+    reference counting as soon as its solve drops it.
+    """
+
+    def __init__(self, plan, part):
+        self.part = part
+        self.cz, self.cx = part[0], part[1]
+        self.nclasses = max(part) + 1
+        self.free_classes = tuple(
+            c for c in range(self.nclasses) if c not in (self.cz, self.cx))
+        key_of = {a: (a.name, tuple(part[plan.var_index[arg]] for arg in a.args))
+                  for a in plan.atoms}
+        self.keys = sorted(set(key_of.values()))
+        slot_of_key = {key: slot for slot, key in enumerate(self.keys)}
+        self._slot_of = {a: slot_of_key[key] for a, key in key_of.items()}
+        self._matrix = plan.sentence.matrix
+        self._eq_value = plan.eq_value(part)
+
+    def satisfying(self, forced_slots, free_slots, forced):
+        """Atom values, in sorted-key order, that satisfy the matrix and
+        give the keys in `forced_slots` the values `forced`; the keys in
+        `free_slots` run through binary counting, first one least
+        significant."""
+        keys, slot_of, eq_value = self.keys, self._slot_of, self._eq_value
+        values = [None] * len(keys)
+        for slot, v in zip(forced_slots, forced):
+            values[slot] = v
+
+        def rel_value(a):
+            return values[slot_of[a]]
+
+        if eval_matrix(self._matrix, rel_value, eq_value) is False:
+            return
+        for i in range(1 << len(free_slots)):
+            for j, slot in enumerate(free_slots):
+                values[slot] = bool(i >> j & 1)
+            if eval_matrix(self._matrix, rel_value, eq_value) is True:
+                yield tuple((name, ctuple, values[slot])
+                            for slot, (name, ctuple) in enumerate(keys))
+
+
+class _Forcing:
+    """Which atom keys a search kind forces on a partition, and a memo.
+
+    `rules` lists, for each forced key in sorted-key order, where its
+    value comes from: (class, relation index) reads the class 1-type's
+    bit, (class, relation index, pattern) the class extended type's
+    pattern.  An extended search forces every key whose classes lie in
+    {cz, c} by c's pattern; for a diagonal key that pattern is c's own
+    1-type bit, so the extended rules subsume the plain ones and never
+    contradict them.
+    """
+
+    def __init__(self, partition, sig, ext):
+        rules, forced_slots, free_slots = [], [], []
+        for slot, (name, ctuple) in enumerate(partition.keys):
+            ridx = sig.index(name)
+            if ext:
+                hit = _ext_forced_key(ctuple, partition.cz)
+                rule = None if hit is None else (hit[0], ridx, hit[1])
+            else:
+                rule = (ctuple[0], ridx) if len(set(ctuple)) == 1 else None
+            if rule is None:
+                free_slots.append(slot)
+            else:
+                rules.append(rule)
+                forced_slots.append(slot)
+        self.partition = partition
+        self.rules = tuple(rules)
+        self._forced_slots = tuple(forced_slots)
+        self._free_slots = tuple(free_slots)
+        self._memo = {}
+
+    def assignments(self, forced):
+        """The partition's satisfying atom values that agree with `forced`,
+        the forced keys' values in rule order; computed as far as asked."""
+        replay = self._memo.get(forced)
+        if replay is None:
+            replay = self._memo[forced] = _Replay(self.partition.satisfying(
+                self._forced_slots, self._free_slots, forced))
+        return replay
+
+
+class SearchPlan:
+    """What every witness search for one sentence shares, settled once.
+
+    The 1-types are enumerated once.  Partitions whose equalities alone
+    falsify the matrix are dropped once.  Each surviving partition gets
+    its sorted atom keys once and, per search kind (plain or extended),
+    its forcing rules, free keys, and a memo from forced valuations to
+    their satisfying free-atom assignments, filled only as far as some
+    search has asked.  Searches through one plan give exactly the
+    descriptors, in exactly the order, that searches through fresh plans
+    give.
+
+    The solver builds one plan per solve; nothing in it outlives that.
+    """
+
+    def __init__(self, sentence):
+        self.sentence = sentence
+        self.one_types = enumerate_one_types(sentence.signature)
+        self.atoms = atoms_of(sentence.matrix)
+        self.var_index = {v: i for i, v in enumerate(sentence.prefix_vars)}
+        self._ordered = {}  # allowed 1-type set -> its members in canonical order
+        self._ext_views = {}  # allowed extended-type set -> ext_view
+        self._forcings = {}  # extended? -> forcings()
+
+    def ordered(self, allowed):
+        """The 1-types of `allowed` in canonical order."""
+        out = self._ordered.get(allowed)
+        if out is None:
+            out = self._ordered[allowed] = [t for t in self.one_types if t in allowed]
+        return out
+
+    def ext_view(self, allowed_ext):
+        """The 1-types under `allowed_ext`, and its members grouped by
+        1-type, each group in canonical order."""
+        view = self._ext_views.get(allowed_ext)
+        if view is None:
+            by_type = {}
+            for e in sorted(allowed_ext, key=ExtendedType.index):
+                by_type.setdefault(e.own_type(), []).append(e)
+            view = self._ext_views[allowed_ext] = (frozenset(by_type), by_type)
+        return view
+
+    def eq_value(self, part):
+        """The equality valuation a partition settles."""
+        var_index = self.var_index
+
+        def eq_value(u, v):
+            return part[var_index[u]] == part[var_index[v]]
+        return eq_value
+
+    def forcings(self, ext):
+        """The plain (False) or extended (True) forcing of every partition
+        the equalities alone do not rule out, in canonical order."""
+        out = self._forcings.get(ext)
+        if out is None:
+            sig = self.sentence.signature
+            out = self._forcings[ext] = [
+                _Forcing(pt, sig, ext) for pt in self._alive]
+        return out
+
+    @cached_property
+    def _alive(self):
+        matrix = self.sentence.matrix
+        return [_Partition(self, part)
+                for part in _partitions(len(self.sentence.prefix_vars))
+                if eval_matrix(matrix, _unknown, self.eq_value(part)) is not False]
+
+
+def _unknown(atom):
+    return None
+
+
+def _plan_for(ctx, plan):
+    if plan is None:
+        return SearchPlan(ctx.sentence)
+    if plan.sentence != ctx.sentence:
+        raise ValueError("the search plan was built for another sentence")
+    return plan
+
+
+def _search(plan, pi0, pi, allowed, ext=None):
     """Yield all valid descriptors for the context, in canonical order.
 
     `ext` is None for plain search, else a (state, allowed_ext) pair; the
     plain search yields WitnessDescriptor, the extended one
     ExtWitnessDescriptor.
     """
-    sig = sentence.signature
     if pi0 not in allowed or pi not in allowed:
         return
     if ext is not None:
         state, allowed_ext = ext
-        initial = initial_extended_type(sig, pi0)
+        initial = initial_extended_type(plan.sentence.signature, pi0)
         if initial not in allowed_ext or state not in allowed_ext:
             return
-        if state.own_type() != pi or initial.z_type() != pi0:
+        if state.own_type() != pi:
             return
-        ext_sorted = sorted(allowed_ext, key=lambda e: e.index())
-    allowed_sorted = [t for t in enumerate_one_types(sig) if t in allowed]
-    var_index = {v: i for i, v in enumerate(sentence.prefix_vars)}
-    matrix = sentence.matrix
-    k = len(sentence.prefix_vars)
+        by_type = plan.ext_view(allowed_ext)[1]
+    allowed_sorted = plan.ordered(allowed)
+    k = len(plan.sentence.prefix_vars)
 
-    for part in _partitions(k):
-        cz, cx = part[0], part[1]
-        nclasses = max(part) + 1
-        if cz == cx and pi0 != pi:
+    for forcing in plan.forcings(ext is not None):
+        pt, rules = forcing.partition, forcing.rules
+        part, cz, cx, free_classes = pt.part, pt.cz, pt.cx, pt.free_classes
+        if cz == cx and (pi0 != pi or ext is not None and state != initial):
             continue
-        if ext is not None and cz == cx and state != initial:
-            continue
-
-        def eq_value(u, v, part=part):
-            return part[var_index[u]] == part[var_index[v]]
-
-        # equalities are settled by the partition alone; prune early
-        if eval_matrix(matrix, lambda a: None, eq_value) is False:
-            continue
-
-        keys = _atom_keys(sentence, part)
-        free_classes = [c for c in range(nclasses) if c not in (cz, cx)]
+        padding = k - pt.nclasses
+        types = [None] * pt.nclasses
+        types[cz] = pi0
+        types[cx] = pi
+        if ext is not None:
+            exts = [None] * pt.nclasses
+            exts[cz] = initial
+            exts[cx] = state
 
         for combo in product(allowed_sorted, repeat=len(free_classes)):
-            types = [None] * nclasses
-            types[cz] = pi0
-            types[cx] = pi
             for c, t in zip(free_classes, combo):
                 types[c] = t
             class_types = tuple(types)
 
             if ext is None:
-                ext_combos = [None]
-            else:
-                per_class = []
-                for c in free_classes:
-                    cands = [e for e in ext_sorted if e.own_type() == class_types[c]]
-                    per_class.append(cands)
-                ext_combos = product(*per_class)
+                forced = tuple([types[c].bits[r] for c, r in rules])
+                for atom_values in forcing.assignments(forced):
+                    yield WitnessDescriptor(
+                        partition=part, class_types=class_types,
+                        atom_values=atom_values, padding_count=padding)
+                continue
 
-            for ext_combo in ext_combos:
-                class_exts = None
-                if ext is not None:
-                    exts = [None] * nclasses
-                    exts[cz] = initial
-                    exts[cx] = state
-                    for c, e in zip(free_classes, ext_combo):
-                        exts[c] = e
-                    class_exts = tuple(exts)
-
-                forced = {}
-                consistent = True
-                for name, ctuple in keys:
-                    ridx = sig.index(name)
-                    if len(set(ctuple)) == 1:
-                        v = class_types[ctuple[0]].bit(ridx)
-                        if not _merge_forced(forced, (name, ctuple), v):
-                            consistent = False
-                            break
-                    if ext is not None:
-                        hit = _ext_forced_key(ctuple, cz)
-                        if hit is not None:
-                            c, p = hit
-                            v = class_exts[c].patterns[ridx][p]
-                            if not _merge_forced(forced, (name, ctuple), v):
-                                consistent = False
-                                break
-                if not consistent:
-                    continue
-
-                def rel_value(a, forced=forced, part=part):
-                    key = (a.name, tuple(part[var_index[arg]] for arg in a.args))
-                    return forced.get(key)
-
-                if eval_matrix(matrix, rel_value, eq_value) is False:
-                    continue
-
-                free_keys = [key for key in keys if key not in forced]
-                for i in range(1 << len(free_keys)):
-                    values = dict(forced)
-                    for j, key in enumerate(free_keys):
-                        values[key] = bool(i >> j & 1)
-
-                    def rel_total(a, values=values, part=part):
-                        return values[(a.name,
-                                       tuple(part[var_index[arg]] for arg in a.args))]
-
-                    if eval_matrix(matrix, rel_total, eq_value) is not True:
-                        continue
-                    atom_values = tuple(
-                        (name, ctuple, values[(name, ctuple)])
-                        for name, ctuple in keys)
-                    if ext is None:
-                        yield WitnessDescriptor(
-                            partition=part, class_types=class_types,
-                            atom_values=atom_values,
-                            padding_count=k - nclasses)
-                    else:
-                        yield ExtWitnessDescriptor(
-                            partition=part, class_types=class_types,
-                            atom_values=atom_values,
-                            padding_count=k - nclasses,
-                            class_exttypes=class_exts)
+            for ext_combo in product(*(by_type.get(t, ()) for t in combo)):
+                for c, e in zip(free_classes, ext_combo):
+                    exts[c] = e
+                class_exts = tuple(exts)
+                forced = tuple([exts[c].patterns[r][p] for c, r, p in rules])
+                for atom_values in forcing.assignments(forced):
+                    yield ExtWitnessDescriptor(
+                        partition=part, class_types=class_types,
+                        atom_values=atom_values, padding_count=padding,
+                        class_exttypes=class_exts)
 
 
-def find_witness(ctx):
-    """The canonical-first witness descriptor for the context, or None."""
-    return next(_search(ctx.sentence, ctx.pi0, ctx.pi, ctx.allowed), None)
+def find_witness(ctx, plan=None):
+    """The canonical-first witness descriptor for the context, or None.
+
+    `plan` is the sentence's SearchPlan, shared across the searches of
+    one solve; without one, a fresh plan is built.
+    """
+    plan = _plan_for(ctx, plan)
+    return next(_search(plan, ctx.pi0, ctx.pi, ctx.allowed), None)
 
 
-def enumerate_witnesses(ctx, budget=10**6):
+def enumerate_witnesses(ctx, budget=10**6, plan=None):
     """Every valid descriptor for the context, in canonical order.
 
     Intended for tiny instances; raises WitnessBudgetExceeded beyond the
     budget.
     """
     out = []
-    for d in _search(ctx.sentence, ctx.pi0, ctx.pi, ctx.allowed):
+    for d in _search(_plan_for(ctx, plan), ctx.pi0, ctx.pi, ctx.allowed):
         out.append(d)
         if len(out) > budget:
             raise WitnessBudgetExceeded(len(out))
     return out
 
 
-def find_ext_witness(ctx):
+def find_ext_witness(ctx, plan=None):
     """Canonical-first extended descriptor for the context, or None."""
-    pi = ctx.state.own_type()
-    sig = ctx.sentence.signature
-    allowed = frozenset(e.own_type() for e in ctx.allowed_ext)
+    plan = _plan_for(ctx, plan)
+    allowed = plan.ext_view(ctx.allowed_ext)[0]
     return next(
-        _search(ctx.sentence, ctx.pi0, pi, allowed,
+        _search(plan, ctx.pi0, ctx.state.own_type(), allowed,
                 ext=(ctx.state, ctx.allowed_ext)),
         None)
 

@@ -12,10 +12,11 @@ from eae_sat.solver import (
     solve,
 )
 from eae_sat.structures import brute_force_search
-from eae_sat.syntax import parse
-from eae_sat.witness import WitnessDescriptor
+from eae_sat.syntax import load_sentence, parse
+from eae_sat.witness import WitnessDescriptor, realized_types
 
 import corpus
+from conftest import fixture_path
 
 METHODS = ("gfp", "game", "extended")
 
@@ -105,11 +106,33 @@ def test_certificates_pass_checker(s1, s3, s4, s5):
             assert check_certificate(s, ext.certificate) == []
 
 
-def test_certificate_closure_violation(s3):
+def test_certificate_pi0_not_covered(s3):
     out = gfp_solve(s3)
     mutated = Certificate(pi0=out.certificate.pi0, strategy=())
     bad = check_certificate(s3, mutated)
     assert any("pi0" in v for v in bad)
+
+
+def test_certificate_closure_violation():
+    # dropping a non-pi0 entry breaks closure for every entry whose
+    # descriptor realizes the dropped type: one closure line per such entry
+    broken_total = 0
+    for s in corpus.corpus(size=300):
+        out = gfp_solve(s)
+        if out.verdict != "SAT":
+            continue
+        for dropped, _ in out.certificate.strategy:
+            if dropped == out.certificate.pi0:
+                continue
+            kept = tuple(e for e in out.certificate.strategy if e[0] != dropped)
+            bad = check_certificate(s, Certificate(out.certificate.pi0, kept))
+            for pi, d in kept:
+                lines = [v for v in bad
+                         if v.startswith(f"entry {pi.bits}:") and "closure" in v]
+                broken = dropped in realized_types(d)
+                assert len(lines) == (1 if broken else 0), (s, pi, lines)
+                broken_total += broken
+    assert broken_total > 0
 
 
 def test_certificate_flipped_atom_fails(s3):
@@ -193,3 +216,19 @@ def test_stats_populated(s3):
     assert out.stats.witness_searches > 0
     assert out.stats.types_total == 2
     assert out.stats.elapsed_ms >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Known false SAT
+# ---------------------------------------------------------------------------
+
+def test_s7_has_no_small_model():
+    s = load_sentence(fixture_path("s7_false_sat.fo"))
+    assert brute_force_search(s, 4) is None
+
+
+@pytest.mark.xfail(strict=True, reason="z needs a witness of its own, and "
+                   "no search requires one yet (ROADMAP item 1)")
+def test_s7_extended_refutes():
+    s = load_sentence(fixture_path("s7_false_sat.fo"))
+    assert extended_solve(s).verdict == "UNSAT"

@@ -146,3 +146,13 @@ def test_signature_validation():
         Signature((("B", 1), ("A", 1)))
     with pytest.raises(ValueError):
         Signature((("A", 1), ("A", 2)))
+
+
+def test_signature_index():
+    sig = Signature((("E", 2), ("P", 1), ("R", 3)))
+    fresh = Signature((("E", 2), ("P", 1), ("R", 3)))
+    assert [sig.index(n) for n in ("E", "P", "R")] == [0, 1, 2]
+    with pytest.raises(KeyError):
+        sig.index("Q")
+    # the lookup table is not part of the value
+    assert sig == fresh and hash(sig) == hash(fresh) and repr(sig) == repr(fresh)

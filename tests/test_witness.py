@@ -1,3 +1,7 @@
+import gc
+import os
+import weakref
+
 import pytest
 
 from eae_sat.onetypes import (
@@ -7,8 +11,12 @@ from eae_sat.onetypes import (
     initial_extended_type,
 )
 from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
+from eae_sat import solver, witness
+from eae_sat.solver import extended_solve, gfp_solve
+from eae_sat.syntax import load_sentence
 from eae_sat.witness import (
     ExtWitnessContext,
+    SearchPlan,
     WitnessBudgetExceeded,
     WitnessContext,
     WitnessDescriptor,
@@ -21,6 +29,7 @@ from eae_sat.witness import (
 )
 
 import corpus
+from conftest import FIXTURE_DIR, fixture_path
 
 
 def ctx_for(sentence, pi0, pi, allowed=None):
@@ -236,3 +245,88 @@ def test_ext_c7_checked(s4):
         atom_values=d.atom_values, padding_count=d.padding_count,
         class_exttypes=tuple(bad_ext))
     assert any(v.startswith("C7") for v in check_ext_descriptor(mutant, ctx))
+
+
+# ---------------------------------------------------------------------------
+# The per-solve search plan
+# ---------------------------------------------------------------------------
+
+def solver_contexts(sentence, monkeypatch):
+    """Every context gfp and extended solving query, in query order."""
+    keys = []
+    gfp_solve(sentence, record_contexts=keys)
+    plain = [WitnessContext(sentence, pi0, pi, allowed) for pi0, pi, allowed in keys]
+    ext = []
+
+    def recorded(find, log):
+        def wrapper(ctx, plan=None):
+            log.append(ctx)
+            return find(ctx, plan)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "find_ext_witness", recorded(find_ext_witness, ext))
+        m.setattr(solver, "find_witness", recorded(find_witness, plain))
+        extended_solve(sentence)
+    return plain, ext
+
+
+def plan_sentences():
+    fixtures = [load_sentence(fixture_path(f))
+                for f in sorted(os.listdir(FIXTURE_DIR)) if f.endswith(".fo")]
+    return fixtures + corpus.corpus(size=200)
+
+
+def test_shared_plan_matches_fresh_plans(monkeypatch):
+    for s in plan_sentences():
+        plain, ext = solver_contexts(s, monkeypatch)
+        shared = SearchPlan(s)
+        for ctx in plain:
+            assert find_witness(ctx, shared) == find_witness(ctx)
+            assert enumerate_witnesses(ctx, plan=shared) == enumerate_witnesses(ctx)
+        for ctx in ext:
+            assert find_ext_witness(ctx, shared) == find_ext_witness(ctx)
+
+
+def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
+    calls = []
+    eval_matrix = witness.eval_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return eval_matrix(*args)
+
+    monkeypatch.setattr(witness, "eval_matrix", counted)
+    for s in (s3, s4):
+        plan = SearchPlan(s)
+        for ctx in all_contexts(s):
+            first = find_witness(ctx, plan)
+            before = len(calls)
+            assert find_witness(ctx, plan) == first
+            assert len(calls) == before
+    assert calls
+
+
+def test_plan_freed_without_cycle_collection(s4):
+    # a plan holds no reference cycle, so dropping it frees it at once
+    neg = OneType((False,))
+    gc.disable()
+    try:
+        plan = SearchPlan(s4)
+        for ctx in all_contexts(s4):
+            find_witness(ctx, plan)
+        state = initial_extended_type(s4.signature, neg)
+        find_ext_witness(ext_ctx_for(s4, neg, state), plan)
+        refs = [weakref.ref(x) for x in
+                (plan, plan.forcings(False)[0], plan.forcings(True)[0],
+                 plan.forcings(True)[0].partition)]
+        del plan
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_plan_rejects_another_sentence(s3, s4):
+    neg = OneType((False,))
+    with pytest.raises(ValueError):
+        find_witness(ctx_for(s3, neg, neg), SearchPlan(s4))
