@@ -49,17 +49,13 @@ from .syntax import (
     validate_prefix,
 )
 from .witness import (
-    ExtWitnessContext,
-    ExtWitnessDescriptor,
     SearchPlan,
     WitnessContext,
     WitnessDescriptor,
     check_descriptor,
-    check_ext_descriptor,
     enumerate_witnesses,
-    find_ext_witness,
     find_witness,
-    realized_types,
+    realized_states,
 )
 
 __version__ = "0.1.0"

@@ -312,6 +312,10 @@ def main(argv=None, stdout=None, stderr=None):
     except (ArityCapExceeded, GameDepthExceeded, OracleBudgetExceeded) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_USAGE
+    except RecursionError:
+        # the parser, evaluator, printer and oracle compiler recurse on the matrix
+        stderr.write("error: matrix nested too deeply\n")
+        return EXIT_USAGE
     except (InternalInvariantError, structures.MissingStrategyEntry) as e:
         stderr.write(f"internal error: {e}\n")
         return EXIT_INTERNAL

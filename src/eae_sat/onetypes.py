@@ -9,11 +9,17 @@ An extended type additionally records, for the current element a and a
 fixed reference element b0, the truth of R(w) for every argument pattern
 w over {b0, a}.  Pattern indices are integers whose bit j says whether
 argument j is the current element (1) or the reference element (0).
+
+Both kinds of state share what the witness search reads: `bits`, a flat
+bit tuple; `index()`, the canonical position; `own_type()`, the
+element's 1-type; and `root(sig, pi0)`, the state of b0 itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 DEFAULT_ARITY_CAP = 3
 
@@ -41,6 +47,14 @@ class OneType:
         """Position in the canonical enumeration (first bit = LSB)."""
         return sum(1 << i for i, b in enumerate(self.bits) if b)
 
+    def own_type(self):
+        return self
+
+    @staticmethod
+    def root(sig, pi0):
+        """The state of b0 itself: pi0."""
+        return pi0
+
 
 @dataclass(frozen=True)
 class ExtendedType:
@@ -56,16 +70,40 @@ class ExtendedType:
         """Projection to all-reference-element patterns: b0's 1-type."""
         return OneType(tuple(p[0] for p in self.patterns))
 
+    @cached_property
+    def bits(self):
+        """All pattern bits, relation by relation; not a field, so ==,
+        hash and repr see only `patterns`."""
+        return tuple(b for pats in self.patterns for b in pats)
+
     def index(self):
         """Canonical position: binary counting over all pattern bits."""
-        n = 0
-        j = 0
-        for pats in self.patterns:
-            for b in pats:
-                if b:
-                    n |= 1 << j
-                j += 1
-        return n
+        return sum(1 << j for j, b in enumerate(self.bits) if b)
+
+    @staticmethod
+    def root(sig, pi0):
+        """The state of b0 itself: every pattern is b0's diagonal."""
+        return initial_extended_type(sig, pi0)
+
+
+def _forced_bit(sig, name, ctuple, cz, kind):
+    """The (class, bit) whose state bit fixes atom key (name, ctuple) in a
+    witness over states of `kind`, or None if the key is free.
+
+    A 1-type fixes its diagonal keys.  An extended type fixes every key
+    whose classes lie in {cz, c} for one class c, by c's pattern bit; z's
+    own keys read the z-class state, the root, whose patterns all agree.
+    """
+    ridx = sig.index(name)
+    if kind is OneType:
+        return (ctuple[0], ridx) if len(set(ctuple)) == 1 else None
+    nonz = set(ctuple) - {cz}
+    if len(nonz) > 1:
+        return None
+    c = nonz.pop() if nonz else cz
+    pattern = 0 if c == cz else sum(1 << j for j, cc in enumerate(ctuple) if cc == c)
+    offset = sum(1 << arity for _, arity in sig.relations[:ridx])
+    return (c, offset + pattern)
 
 
 def enumerate_one_types(sig):
@@ -100,24 +138,20 @@ def check_arity_cap(sig, cap=DEFAULT_ARITY_CAP):
 
 
 def enumerate_extended_types(sig, pi0, cap=DEFAULT_ARITY_CAP):
-    """All extended types whose reference projection is pi0, canonical order."""
+    """All extended types whose reference projection is pi0, canonical order.
+
+    Pattern 0 of each relation is pi0's bit; the other patterns count in
+    binary, which keeps the canonical order since the fixed bits do not
+    move.
+    """
     check_arity_cap(sig, cap)
-    widths = [1 << arity for _, arity in sig]
-    total = sum(widths)
+    widths = [(1 << arity) - 1 for _, arity in sig]
+    n = sum(widths)
     out = []
-    for i in range(1 << total):
-        pats = []
-        j = 0
-        ok = True
-        for w, (ri, _) in zip(widths, enumerate(sig)):
-            p = tuple(bool(i >> (j + b) & 1) for b in range(w))
-            if p[0] != pi0.bit(ri):
-                ok = False
-                break
-            pats.append(p)
-            j += w
-        if ok:
-            out.append(ExtendedType(tuple(pats)))
+    for i in range(1 << n):
+        free = iter(bool(i >> j & 1) for j in range(n))
+        out.append(ExtendedType(tuple(
+            (pi0.bit(r),) + tuple(islice(free, w)) for r, w in enumerate(widths))))
     return tuple(out)
 
 

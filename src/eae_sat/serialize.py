@@ -42,14 +42,14 @@ def descriptor_from_json(obj, sentence):
     sig = sentence.signature
     part = tuple(obj["partition"][v] for v in sentence.prefix_vars)
     nclasses = max(part) + 1 if part else 0
-    class_types = tuple(
+    class_states = tuple(
         one_type_from_symbols(obj["class_types"][str(c)], sig)
         for c in range(nclasses))
     atom_values = tuple(sorted(
         (av["rel"], tuple(av["classes"]), bool(av["value"]))
         for av in obj["atom_values"]))
     return WitnessDescriptor(
-        partition=part, class_types=class_types, atom_values=atom_values,
+        partition=part, class_states=class_states, atom_values=atom_values,
         padding_count=int(obj["padding_count"]))
 
 

@@ -31,16 +31,8 @@ from .onetypes import (
     check_arity_cap,
     enumerate_extended_types,
     enumerate_one_types,
-    initial_extended_type,
 )
-from .witness import (
-    ExtWitnessContext,
-    SearchPlan,
-    WitnessContext,
-    check_descriptor,
-    find_ext_witness,
-    find_witness,
-)
+from .witness import SearchPlan, WitnessContext, check_descriptor, find_witness
 
 DEFAULT_GAME_DEPTH_BUDGET = 1025  # covers |sigma| <= 10
 
@@ -131,13 +123,8 @@ class _Memo:
         self.searches += 1
         if self.record is not None:
             self.record.append(key)
-        if isinstance(state, ExtendedType):
-            d = find_ext_witness(
-                ExtWitnessContext(self.sentence, pi0, state, allowed), self.plan)
-        else:
-            d = find_witness(
-                WitnessContext(self.sentence, pi0, state, allowed), self.plan)
-        self.table[key] = d
+        d = self.table[key] = find_witness(
+            WitnessContext(self.sentence, pi0, state, allowed), self.plan)
         return d
 
 
@@ -240,7 +227,7 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP):
 
     def states_of(pi0):
         return (enumerate_extended_types(sig, pi0, cap=arity_cap),
-                initial_extended_type(sig, pi0))
+                ExtendedType.root(sig, pi0))
 
     def certify(pi0, _):
         good = _eliminate(pi0, all_types, memo).surviving
@@ -270,7 +257,7 @@ def check_certificate(sentence, cert):
     if cert.pi0 not in keys:
         violations.append("pi0 is not covered by the strategy")
     for pi, d in cert.strategy:
-        ctx = WitnessContext(sentence=sentence, pi0=cert.pi0, pi=pi,
+        ctx = WitnessContext(sentence=sentence, pi0=cert.pi0, state=pi,
                              allowed=keys)
         for v in check_descriptor(d, ctx):
             violations.append(f"entry {pi.bits}: {v}")

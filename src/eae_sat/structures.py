@@ -228,7 +228,11 @@ def _compile_matrix(sentence):
 
     params = [f"ext_{name}" for name, _ in sentence.signature]
     params += [f"v_{v}" for v in sentence.prefix_vars]
-    return eval(f"lambda {', '.join(params)}: {expr(sentence.matrix)}", {})
+    source = f"lambda {', '.join(params)}: {expr(sentence.matrix)}"
+    try:
+        return eval(source, {})
+    except SyntaxError:  # CPython caps nested parentheses at 200 levels
+        raise RecursionError("matrix nested too deeply") from None
 
 
 def _fast_eval(fn, exts, size, n_ys):

@@ -3,14 +3,19 @@
 A witness descriptor stands for a structure of size n+2 together with an
 assignment of the prefix variables: a partition of the variables into
 classes (one element per class, plus padding duplicates of the z-class),
-a 1-type per class, and a truth value per relation atom of the matrix,
+a state per class, and a truth value per relation atom of the matrix,
 keyed by (relation, class tuple).  Equality atoms are decided by the
 partition itself, and congruence is baked in by the class-tuple keying.
+
+A state is a 1-type or a z-relative extended type; one search and one
+checker serve both kinds.  The z-class holds the kind's root (pi0, or
+the initial extended type), the x-class the state under test, and the
+state's kind decides which atom keys a class state forces.
 
 Search order is fixed so that "the" witness for a context is well
 defined: partitions of (z, x, y1, ...) as restricted-growth strings in
 reverse lexicographic order (all-distinct first, all-merged last), then
-1-type choices for unconstrained classes in canonical type order, then
+state choices for unconstrained classes in canonical state order, then
 free atom values by binary counting (first key in sorted order = least
 significant bit).
 """
@@ -21,12 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .onetypes import (
-    ExtendedType,
-    OneType,
-    enumerate_one_types,
-    initial_extended_type,
-)
+from .onetypes import OneType, _forced_bit
 from .syntax import PrenexSentence, atoms_of, eval_matrix
 
 
@@ -42,52 +42,39 @@ class WitnessBudgetExceeded(Exception):
 class WitnessContext:
     sentence: PrenexSentence
     pi0: OneType
-    pi: OneType
-    allowed: frozenset
-
-
-@dataclass(frozen=True)
-class ExtWitnessContext:
-    sentence: PrenexSentence
-    pi0: OneType
-    state: ExtendedType
-    allowed_ext: frozenset
+    state: object  # OneType or ExtendedType; its kind is the search's
+    allowed: frozenset  # states of the same kind
 
 
 @dataclass(frozen=True)
 class WitnessDescriptor:
     # class of each prefix variable, in prefix order (z, x, y1, ...)
     partition: tuple[int, ...]
-    # 1-type per class id
-    class_types: tuple[OneType, ...]
+    # state per class id
+    class_states: tuple
     # ((relation, class tuple, value), ...), sorted by (relation, class tuple)
     atom_values: tuple[tuple[str, tuple[int, ...], bool], ...]
     padding_count: int
 
     @property
+    def class_types(self):
+        """The 1-type per class id."""
+        return tuple(s.own_type() for s in self.class_states)
+
+    @property
     def num_classes(self):
-        return len(self.class_types)
+        return len(self.class_states)
 
     def value_map(self):
         return {(name, classes): v for name, classes, v in self.atom_values}
 
 
-@dataclass(frozen=True)
-class ExtWitnessDescriptor(WitnessDescriptor):
-    # extended type per class id
-    class_exttypes: tuple[ExtendedType, ...] = ()
-
-
-def realized_types(d):
-    """The 1-types realized by the descriptor's elements.
+def realized_states(d):
+    """The states realized by the descriptor's elements.
 
     Padding elements duplicate the z-class and add nothing.
     """
-    return frozenset(d.class_types)
-
-
-def realized_exttypes(d):
-    return frozenset(d.class_exttypes)
+    return frozenset(d.class_states)
 
 
 # ---------------------------------------------------------------------------
@@ -116,30 +103,6 @@ def _partitions(k):
 # ---------------------------------------------------------------------------
 # Core search
 # ---------------------------------------------------------------------------
-
-def _atom_keys(sentence, part):
-    """Map matrix atoms through a partition; returns the sorted key list."""
-    var_index = {v: i for i, v in enumerate(sentence.prefix_vars)}
-    keys = set()
-    for a in atoms_of(sentence.matrix):
-        keys.add((a.name, tuple(part[var_index[arg]] for arg in a.args)))
-    return sorted(keys)
-
-
-def _ext_forced_key(ctuple, cz):
-    """If the key's classes lie in {cz, c} for one class c, return (c, pattern)."""
-    nonz = set(ctuple) - {cz}
-    if len(nonz) > 1:
-        return None
-    c = nonz.pop() if nonz else cz
-    if c == cz:
-        return (cz, 0)
-    p = 0
-    for j, cc in enumerate(ctuple):
-        if cc == c:
-            p |= 1 << j
-    return (c, p)
-
 
 class _Replay:
     """An iterator's items, produced on first demand and replayed after."""
@@ -216,26 +179,16 @@ class _Partition:
 
 
 class _Forcing:
-    """Which atom keys a search kind forces on a partition, and a memo.
+    """Which atom keys a state kind forces on a partition, and a memo.
 
-    `rules` lists, for each forced key in sorted-key order, where its
-    value comes from: (class, relation index) reads the class 1-type's
-    bit, (class, relation index, pattern) the class extended type's
-    pattern.  An extended search forces every key whose classes lie in
-    {cz, c} by c's pattern; for a diagonal key that pattern is c's own
-    1-type bit, so the extended rules subsume the plain ones and never
-    contradict them.
+    `rules` lists, for each forced key in sorted-key order, the (class,
+    bit) of the class state that fixes its value (`onetypes._forced_bit`).
     """
 
-    def __init__(self, partition, sig, ext):
+    def __init__(self, partition, sig, kind):
         rules, forced_slots, free_slots = [], [], []
         for slot, (name, ctuple) in enumerate(partition.keys):
-            ridx = sig.index(name)
-            if ext:
-                hit = _ext_forced_key(ctuple, partition.cz)
-                rule = None if hit is None else (hit[0], ridx, hit[1])
-            else:
-                rule = (ctuple[0], ridx) if len(set(ctuple)) == 1 else None
+            rule = _forced_bit(sig, name, ctuple, partition.cz, kind)
             if rule is None:
                 free_slots.append(slot)
             else:
@@ -260,44 +213,30 @@ class _Forcing:
 class SearchPlan:
     """What every witness search for one sentence shares, settled once.
 
-    The 1-types are enumerated once.  Partitions whose equalities alone
-    falsify the matrix are dropped once.  Each surviving partition gets
-    its sorted atom keys once and, per search kind (plain or extended),
-    its forcing rules, free keys, and a memo from forced valuations to
-    their satisfying free-atom assignments, filled only as far as some
-    search has asked.  Searches through one plan give exactly the
-    descriptors, in exactly the order, that searches through fresh plans
-    give.
+    Partitions whose equalities alone falsify the matrix are dropped
+    once.  Each surviving partition gets its sorted atom keys once and,
+    per state kind, its forcing rules, free keys, and a memo from forced
+    valuations to their satisfying free-atom assignments, filled only as
+    far as some search has asked.  Searches through one plan give
+    exactly the descriptors, in exactly the order, that searches through
+    fresh plans give.
 
     The solver builds one plan per solve; nothing in it outlives that.
     """
 
     def __init__(self, sentence):
         self.sentence = sentence
-        self.one_types = enumerate_one_types(sentence.signature)
         self.atoms = atoms_of(sentence.matrix)
         self.var_index = {v: i for i, v in enumerate(sentence.prefix_vars)}
-        self._ordered = {}  # allowed 1-type set -> its members in canonical order
-        self._ext_views = {}  # allowed extended-type set -> ext_view
-        self._forcings = {}  # extended? -> forcings()
+        self._ordered = {}  # allowed state set -> its members in canonical order
+        self._forcings = {}  # state kind -> forcings()
 
     def ordered(self, allowed):
-        """The 1-types of `allowed` in canonical order."""
+        """The states of `allowed` in canonical order."""
         out = self._ordered.get(allowed)
         if out is None:
-            out = self._ordered[allowed] = [t for t in self.one_types if t in allowed]
+            out = self._ordered[allowed] = sorted(allowed, key=lambda s: s.index())
         return out
-
-    def ext_view(self, allowed_ext):
-        """The 1-types under `allowed_ext`, and its members grouped by
-        1-type, each group in canonical order."""
-        view = self._ext_views.get(allowed_ext)
-        if view is None:
-            by_type = {}
-            for e in sorted(allowed_ext, key=ExtendedType.index):
-                by_type.setdefault(e.own_type(), []).append(e)
-            view = self._ext_views[allowed_ext] = (frozenset(by_type), by_type)
-        return view
 
     def eq_value(self, part):
         """The equality valuation a partition settles."""
@@ -307,14 +246,15 @@ class SearchPlan:
             return part[var_index[u]] == part[var_index[v]]
         return eq_value
 
-    def forcings(self, ext):
-        """The plain (False) or extended (True) forcing of every partition
-        the equalities alone do not rule out, in canonical order."""
-        out = self._forcings.get(ext)
+    def forcings(self, kind):
+        """The forcing by states of `kind` (OneType or ExtendedType) of
+        every partition the equalities alone do not rule out, in
+        canonical order."""
+        out = self._forcings.get(kind)
         if out is None:
             sig = self.sentence.signature
-            out = self._forcings[ext] = [
-                _Forcing(pt, sig, ext) for pt in self._alive]
+            out = self._forcings[kind] = [
+                _Forcing(pt, sig, kind) for pt in self._alive]
         return out
 
     @cached_property
@@ -337,63 +277,35 @@ def _plan_for(ctx, plan):
     return plan
 
 
-def _search(plan, pi0, pi, allowed, ext=None):
-    """Yield all valid descriptors for the context, in canonical order.
-
-    `ext` is None for plain search, else a (state, allowed_ext) pair; the
-    plain search yields WitnessDescriptor, the extended one
-    ExtWitnessDescriptor.
-    """
-    if pi0 not in allowed or pi not in allowed:
+def _search(plan, ctx):
+    """Yield all valid descriptors for the context, in canonical order."""
+    state, allowed = ctx.state, ctx.allowed
+    kind = type(state)
+    root = kind.root(plan.sentence.signature, ctx.pi0)
+    if root not in allowed or state not in allowed:
         return
-    if ext is not None:
-        state, allowed_ext = ext
-        initial = initial_extended_type(plan.sentence.signature, pi0)
-        if initial not in allowed_ext or state not in allowed_ext:
-            return
-        if state.own_type() != pi:
-            return
-        by_type = plan.ext_view(allowed_ext)[1]
-    allowed_sorted = plan.ordered(allowed)
+    ordered = plan.ordered(allowed)
     k = len(plan.sentence.prefix_vars)
 
-    for forcing in plan.forcings(ext is not None):
+    for forcing in plan.forcings(kind):
         pt, rules = forcing.partition, forcing.rules
         part, cz, cx, free_classes = pt.part, pt.cz, pt.cx, pt.free_classes
-        if cz == cx and (pi0 != pi or ext is not None and state != initial):
+        if cz == cx and state != root:
             continue
         padding = k - pt.nclasses
-        types = [None] * pt.nclasses
-        types[cz] = pi0
-        types[cx] = pi
-        if ext is not None:
-            exts = [None] * pt.nclasses
-            exts[cz] = initial
-            exts[cx] = state
+        states = [None] * pt.nclasses
+        states[cz] = root
+        states[cx] = state
 
-        for combo in product(allowed_sorted, repeat=len(free_classes)):
-            for c, t in zip(free_classes, combo):
-                types[c] = t
-            class_types = tuple(types)
-
-            if ext is None:
-                forced = tuple([types[c].bits[r] for c, r in rules])
-                for atom_values in forcing.assignments(forced):
-                    yield WitnessDescriptor(
-                        partition=part, class_types=class_types,
-                        atom_values=atom_values, padding_count=padding)
-                continue
-
-            for ext_combo in product(*(by_type.get(t, ()) for t in combo)):
-                for c, e in zip(free_classes, ext_combo):
-                    exts[c] = e
-                class_exts = tuple(exts)
-                forced = tuple([exts[c].patterns[r][p] for c, r, p in rules])
-                for atom_values in forcing.assignments(forced):
-                    yield ExtWitnessDescriptor(
-                        partition=part, class_types=class_types,
-                        atom_values=atom_values, padding_count=padding,
-                        class_exttypes=class_exts)
+        for combo in product(ordered, repeat=len(free_classes)):
+            for c, s in zip(free_classes, combo):
+                states[c] = s
+            class_states = tuple(states)
+            forced = tuple([states[c].bits[b] for c, b in rules])
+            for atom_values in forcing.assignments(forced):
+                yield WitnessDescriptor(
+                    partition=part, class_states=class_states,
+                    atom_values=atom_values, padding_count=padding)
 
 
 def find_witness(ctx, plan=None):
@@ -402,8 +314,7 @@ def find_witness(ctx, plan=None):
     `plan` is the sentence's SearchPlan, shared across the searches of
     one solve; without one, a fresh plan is built.
     """
-    plan = _plan_for(ctx, plan)
-    return next(_search(plan, ctx.pi0, ctx.pi, ctx.allowed), None)
+    return next(_search(_plan_for(ctx, plan), ctx), None)
 
 
 def enumerate_witnesses(ctx, budget=10**6, plan=None):
@@ -413,21 +324,11 @@ def enumerate_witnesses(ctx, budget=10**6, plan=None):
     budget.
     """
     out = []
-    for d in _search(_plan_for(ctx, plan), ctx.pi0, ctx.pi, ctx.allowed):
+    for d in _search(_plan_for(ctx, plan), ctx):
         out.append(d)
         if len(out) > budget:
             raise WitnessBudgetExceeded(len(out))
     return out
-
-
-def find_ext_witness(ctx, plan=None):
-    """Canonical-first extended descriptor for the context, or None."""
-    plan = _plan_for(ctx, plan)
-    allowed = plan.ext_view(ctx.allowed_ext)[0]
-    return next(
-        _search(plan, ctx.pi0, ctx.state.own_type(), allowed,
-                ext=(ctx.state, ctx.allowed_ext)),
-        None)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +336,14 @@ def find_ext_witness(ctx, plan=None):
 # ---------------------------------------------------------------------------
 
 def check_descriptor(d, ctx):
-    """All violations of the descriptor invariants; empty list means valid."""
+    """All violations of the descriptor invariants; empty list means valid.
+
+    Each key a class state forces is checked once: as C2 if it is
+    diagonal, as C7 if only an extended type fixes it.
+    """
     sentence = ctx.sentence
     sig = sentence.signature
+    kind = type(ctx.state)
     violations = []
     vars_ = sentence.prefix_vars
     k = len(vars_)
@@ -454,8 +360,8 @@ def check_descriptor(d, ctx):
             return violations
         mx = max(mx, c)
     nclasses = mx + 1
-    if len(d.class_types) != nclasses:
-        violations.append(f"P0: {len(d.class_types)} class types for {nclasses} classes")
+    if len(d.class_states) != nclasses:
+        violations.append(f"P0: {len(d.class_states)} class types for {nclasses} classes")
         return violations
 
     if d.padding_count != k - nclasses:
@@ -465,7 +371,9 @@ def check_descriptor(d, ctx):
         violations.append("P1: negative padding_count")
 
     cz, cx = d.partition[0], d.partition[1]
-    expected_keys = _atom_keys(sentence, d.partition)
+    expected_keys = sorted({
+        (a.name, tuple(d.partition[var_index[arg]] for arg in a.args))
+        for a in atoms_of(sentence.matrix)})
     values = {}
     seen = set()
     for name, ctuple, v in d.atom_values:
@@ -483,16 +391,25 @@ def check_descriptor(d, ctx):
         return violations
 
     for name, ctuple in expected_keys:
+        hit = _forced_bit(sig, name, ctuple, cz, kind)
+        if hit is None:
+            continue
+        c, b = hit
+        got, want = values[(name, ctuple)], d.class_states[c].bits[b]
+        if got == want:
+            continue
         if len(set(ctuple)) == 1:
-            want = d.class_types[ctuple[0]].bit(sig.index(name))
-            if values[(name, ctuple)] != want:
-                violations.append(
-                    f"C2: diagonal atom ({name}, {ctuple}) valued "
-                    f"{values[(name, ctuple)]}, class type dictates {want}")
+            violations.append(
+                f"C2: diagonal atom ({name}, {ctuple}) valued "
+                f"{got}, class type dictates {want}")
+        else:
+            violations.append(
+                f"C7: atom ({name}, {ctuple}) valued {got}, "
+                f"extended type dictates {want}")
 
-    if d.class_types[cz] != ctx.pi0:
+    if d.class_states[cz] != kind.root(sig, ctx.pi0):
         violations.append("C4: z-class type differs from pi0")
-    if d.class_types[cx] != ctx.pi:
+    if d.class_states[cx] != ctx.state:
         violations.append("C4: x-class type differs from pi")
 
     def rel_value(a):
@@ -504,52 +421,8 @@ def check_descriptor(d, ctx):
     if eval_matrix(sentence.matrix, rel_value, eq_value) is not True:
         violations.append("C5: matrix is not satisfied by the induced valuation")
 
-    extra = realized_types(d) - ctx.allowed
+    extra = realized_states(d) - ctx.allowed
     if extra:
         violations.append(
             f"closure: {len(extra)} realized type(s) outside the allowed set")
-    return violations
-
-
-def check_ext_descriptor(d, ctx):
-    """check_descriptor plus the z-relative extended-type invariants."""
-    sig = ctx.sentence.signature
-    pi = ctx.state.own_type()
-    plain_ctx = WitnessContext(
-        sentence=ctx.sentence, pi0=ctx.pi0, pi=pi,
-        allowed=frozenset(e.own_type() for e in ctx.allowed_ext))
-    violations = check_descriptor(d, plain_ctx)
-    if not isinstance(d, ExtWitnessDescriptor) or \
-            len(d.class_exttypes) != d.num_classes:
-        violations.append("E0: missing or malformed class extended types")
-        return violations
-
-    cz, cx = d.partition[0], d.partition[1]
-    initial = initial_extended_type(sig, ctx.pi0)
-    for c, e in enumerate(d.class_exttypes):
-        if e.own_type() != d.class_types[c]:
-            violations.append(f"E1: class {c} extended type projects to a different 1-type")
-        if e.z_type() != ctx.pi0:
-            violations.append(f"E1: class {c} extended type has a foreign reference projection")
-    if d.class_exttypes[cz] != initial:
-        violations.append("E2: z-class extended type is not the initial one")
-    if d.class_exttypes[cx] != ctx.state:
-        violations.append("E2: x-class extended type differs from the current state")
-
-    values = d.value_map()
-    for name, ctuple in _atom_keys(ctx.sentence, d.partition):
-        hit = _ext_forced_key(ctuple, cz)
-        if hit is None:
-            continue
-        c, p = hit
-        want = d.class_exttypes[c].patterns[sig.index(name)][p]
-        if values[(name, ctuple)] != want:
-            violations.append(
-                f"C7: atom ({name}, {ctuple}) valued {values[(name, ctuple)]}, "
-                f"extended type dictates {want}")
-
-    extra = realized_exttypes(d) - ctx.allowed_ext
-    if extra:
-        violations.append(
-            f"closure: {len(extra)} realized extended type(s) outside the allowed set")
     return violations

@@ -167,7 +167,7 @@ def test_criterion_6_certificate_soundness(corpus_200, corpus_outcomes):
             mutations_total += 1
             j, (name, classes, v) = forced[0]
             mutant_d = WitnessDescriptor(
-                partition=d.partition, class_types=d.class_types,
+                partition=d.partition, class_states=d.class_states,
                 atom_values=(d.atom_values[:j] + ((name, classes, not v),)
                              + d.atom_values[j + 1:]),
                 padding_count=d.padding_count)
@@ -186,8 +186,8 @@ def test_criterion_6_certificate_soundness(corpus_200, corpus_outcomes):
             other = next(t for t in types if t != d.class_types[cx])
             retyped = WitnessDescriptor(
                 partition=d.partition,
-                class_types=(d.class_types[:cx] + (other,)
-                             + d.class_types[cx + 1:]),
+                class_states=(d.class_states[:cx] + (other,)
+                              + d.class_states[cx + 1:]),
                 atom_values=d.atom_values,
                 padding_count=d.padding_count)
             mutant = Certificate(pi0=cert.pi0, strategy=(

@@ -243,3 +243,25 @@ def test_byte_identical_reruns(argv):
     first = run(*argv)
     second = run(*argv)
     assert first == second
+
+
+def flat_conjunction(tmp_path, n):
+    atoms = ("P(x)", "R(x,y)", "P(y)", "R(z,y)")
+    path = tmp_path / f"flat{n}.fo"
+    path.write_text("exists z. forall x. exists y. "
+                    + " & ".join(atoms[i % len(atoms)] for i in range(n)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,conjuncts", [
+    (("check",), 1200), (("check", "--method", "extended"), 1200),
+    (("parse",), 1200), (("model",), 1200),
+    (("brute",), 250), (("diff",), 250)])
+def test_deeply_nested_matrix(tmp_path, argv, conjuncts):
+    # the parser builds a left-deep tree; matrices past the recursion
+    # limit, or past CPython's 200 nested parentheses in the oracle's
+    # compiled matrix, are a resource limit, not a crash
+    code, out, err = run(argv[0], flat_conjunction(tmp_path, conjuncts), *argv[1:])
+    assert (code, out, err) == (1, "", "error: matrix nested too deeply\n")
+    code, out, err = run(argv[0], flat_conjunction(tmp_path, 150), *argv[1:])
+    assert code in (0, 10) and out and err == ""

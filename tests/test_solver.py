@@ -13,7 +13,7 @@ from eae_sat.solver import (
 )
 from eae_sat.structures import brute_force_search
 from eae_sat.syntax import load_sentence, parse
-from eae_sat.witness import WitnessDescriptor, realized_types
+from eae_sat.witness import WitnessDescriptor, realized_states
 
 import corpus
 from conftest import fixture_path
@@ -129,7 +129,7 @@ def test_certificate_closure_violation():
             for pi, d in kept:
                 lines = [v for v in bad
                          if v.startswith(f"entry {pi.bits}:") and "closure" in v]
-                broken = dropped in realized_types(d)
+                broken = dropped in realized_states(d)
                 assert len(lines) == (1 if broken else 0), (s, pi, lines)
                 broken_total += broken
     assert broken_total > 0
@@ -143,7 +143,7 @@ def test_certificate_flipped_atom_fails(s3):
         for name, classes, v in d.atom_values)
     mutant = Certificate(pi0=out.certificate.pi0, strategy=(
         (pi, WitnessDescriptor(partition=d.partition,
-                               class_types=d.class_types,
+                               class_states=d.class_states,
                                atom_values=flipped_values,
                                padding_count=d.padding_count)),))
     assert check_certificate(s3, mutant) != []
@@ -209,6 +209,27 @@ def test_game_matches_gfp_traces():
         gfp, game = gfp_solve(s), bounded_game_solve(s)
         assert (game.verdict, game.pi0) == (gfp.verdict, gfp.pi0)
         assert game.refutation == gfp.refutation
+
+
+def test_kinds_agree_on_unary_signatures():
+    # over unary relations an extended type only adds z's fixed bits, so
+    # the two state kinds run the same elimination
+    def projected(refutation):
+        return [(tr.pi0,
+                 [(r, [s.own_type() for s in removed]) for r, removed in tr.rounds],
+                 [s.own_type() for s in tr.surviving])
+                for tr in refutation.traces]
+
+    checked = 0
+    for s in corpus.corpus(size=600, seed=7):
+        if any(arity != 1 for _, arity in s.signature):
+            continue
+        gfp, ext = gfp_solve(s), extended_solve(s)
+        assert (ext.verdict, ext.pi0) == (gfp.verdict, gfp.pi0)
+        if gfp.refutation is not None:
+            assert projected(ext.refutation) == projected(gfp.refutation)
+        checked += 1
+    assert checked > 300
 
 
 def test_stats_populated(s3):

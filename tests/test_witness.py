@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from eae_sat.onetypes import (
+    ExtendedType,
     OneType,
     enumerate_extended_types,
     enumerate_one_types,
@@ -13,19 +14,16 @@ from eae_sat.onetypes import (
 from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
 from eae_sat import solver, witness
 from eae_sat.solver import extended_solve, gfp_solve
-from eae_sat.syntax import load_sentence
+from eae_sat.syntax import load_sentence, parse
 from eae_sat.witness import (
-    ExtWitnessContext,
     SearchPlan,
     WitnessBudgetExceeded,
     WitnessContext,
     WitnessDescriptor,
     check_descriptor,
-    check_ext_descriptor,
     enumerate_witnesses,
-    find_ext_witness,
     find_witness,
-    realized_types,
+    realized_states,
 )
 
 import corpus
@@ -34,7 +32,7 @@ from conftest import FIXTURE_DIR, fixture_path
 
 def ctx_for(sentence, pi0, pi, allowed=None):
     ts = enumerate_one_types(sentence.signature)
-    return WitnessContext(sentence=sentence, pi0=pi0, pi=pi,
+    return WitnessContext(sentence=sentence, pi0=pi0, state=pi,
                           allowed=frozenset(allowed if allowed is not None else ts))
 
 
@@ -72,7 +70,7 @@ def test_s2_check_descriptor_reports_c5(s2):
     pos, neg = OneType((True,)), OneType((False,))
     d = WitnessDescriptor(
         partition=(0, 1, 2),
-        class_types=(pos, pos, neg),
+        class_states=(pos, pos, neg),
         atom_values=(("P", (0,), True), ("P", (1,), True)),
         padding_count=0)
     bad = check_descriptor(d, ctx_for(s2, pos, pos))
@@ -108,7 +106,7 @@ def test_c4_violation_detected(s3):
     d = find_witness(ctx)
     retyped = WitnessDescriptor(
         partition=d.partition,
-        class_types=(d.class_types[0], pos) + d.class_types[2:],
+        class_states=(d.class_states[0], pos) + d.class_states[2:],
         atom_values=d.atom_values,
         padding_count=d.padding_count)
     assert any(v.startswith("C4") for v in check_descriptor(retyped, ctx))
@@ -140,7 +138,7 @@ def test_find_is_first_of_enumeration_fixtures(s1, s2, s3, s4, s5):
 def test_realized_types(s3):
     neg = OneType((False,))
     d = find_witness(ctx_for(s3, neg, neg))
-    assert realized_types(d) == frozenset({neg})
+    assert realized_states(d) == frozenset({neg})
 
 
 def test_monotonicity_under_shrinking_allowed():
@@ -181,35 +179,35 @@ def test_descriptors_realize(s3, s4, s5):
 # Extended search
 # ---------------------------------------------------------------------------
 
-def ext_ctx_for(sentence, pi0, state, allowed_ext=None):
+def ext_ctx_for(sentence, pi0, state, allowed=None):
     states = enumerate_extended_types(sentence.signature, pi0)
-    return ExtWitnessContext(
+    return WitnessContext(
         sentence=sentence, pi0=pi0, state=state,
-        allowed_ext=frozenset(allowed_ext if allowed_ext is not None else states))
+        allowed=frozenset(allowed if allowed is not None else states))
 
 
 def test_ext_degenerates_without_relations(s1):
     empty = OneType(())
     state = initial_extended_type(s1.signature, empty)
-    d = find_ext_witness(ext_ctx_for(s1, empty, state))
+    d = find_witness(ext_ctx_for(s1, empty, state))
     plain = find_witness(ctx_for(s1, empty, empty))
     assert d.partition == plain.partition
     assert d.atom_values == plain.atom_values
-    assert check_ext_descriptor(d, ext_ctx_for(s1, empty, state)) == []
+    assert check_descriptor(d, ext_ctx_for(s1, empty, state)) == []
 
 
 def test_ext_s4_start_state_has_witness(s4):
     neg = OneType((False,))
     start = initial_extended_type(s4.signature, neg)
     ctx = ext_ctx_for(s4, neg, start)
-    d = find_ext_witness(ctx)
+    d = find_witness(ctx)
     assert d is not None
-    assert check_ext_descriptor(d, ctx) == []
+    assert check_descriptor(d, ctx) == []
     # the y-class must point the successor to a state with the zx bit set
     cy = d.partition[2]
     zx_pattern = 0b10  # second argument is the current element
     ridx = s4.signature.index("R")
-    assert d.class_exttypes[cy].patterns[ridx][zx_pattern] is True
+    assert d.class_states[cy].patterns[ridx][zx_pattern] is True
 
 
 def test_ext_s4_poisoned_state_has_no_witness(s4):
@@ -218,7 +216,7 @@ def test_ext_s4_poisoned_state_has_no_witness(s4):
     ridx = s4.signature.index("R")
     for st in states:
         if st.patterns[ridx][0b10]:  # current element satisfies R(b0, a)
-            assert find_ext_witness(ext_ctx_for(s4, neg, st)) is None
+            assert find_witness(ext_ctx_for(s4, neg, st)) is None
 
 
 def test_ext_rejects_mismatched_state_projection(s3):
@@ -226,25 +224,40 @@ def test_ext_rejects_mismatched_state_projection(s3):
     # a state whose own-type projection is {+E} cannot serve pi = {-E}
     states = enumerate_extended_types(s3.signature, neg)
     st = next(s for s in states if s.own_type() == pos)
-    ctx = ext_ctx_for(s3, neg, st, allowed_ext=[s for s in states
-                                               if s.own_type() == neg])
-    assert find_ext_witness(ctx) is None
+    ctx = ext_ctx_for(s3, neg, st, allowed=[s for s in states
+                                           if s.own_type() == neg])
+    assert find_witness(ctx) is None
 
 
 def test_ext_c7_checked(s4):
     neg = OneType((False,))
     start = initial_extended_type(s4.signature, neg)
     ctx = ext_ctx_for(s4, neg, start)
-    d = find_ext_witness(ctx)
+    d = find_witness(ctx)
     # swap the y-class extended type for one violating C7
-    bad_ext = list(d.class_exttypes)
+    bad_ext = list(d.class_states)
     bad_ext[d.partition[2]] = start  # zx bit false, but atom R(z,y) is true
-    from eae_sat.witness import ExtWitnessDescriptor
-    mutant = ExtWitnessDescriptor(
-        partition=d.partition, class_types=d.class_types,
-        atom_values=d.atom_values, padding_count=d.padding_count,
-        class_exttypes=tuple(bad_ext))
-    assert any(v.startswith("C7") for v in check_ext_descriptor(mutant, ctx))
+    mutant = WitnessDescriptor(
+        partition=d.partition, class_states=tuple(bad_ext),
+        atom_values=d.atom_values, padding_count=d.padding_count)
+    assert any(v.startswith("C7") for v in check_descriptor(mutant, ctx))
+
+
+def test_ext_fault_reported_once():
+    # a flipped diagonal atom is one fault: C2, not C2 and again C7
+    s = parse("exists z. forall x. exists y. (R(x,y) & ~R(x,x) & ~R(z,x))")
+    neg = OneType((False,))
+    ctx = ext_ctx_for(s, neg, initial_extended_type(s.signature, neg))
+    d = find_witness(ctx)
+    cx = d.partition[1]
+    flipped = tuple((name, ct, not v if ct == (cx, cx) else v)
+                    for name, ct, v in d.atom_values)
+    mutant = WitnessDescriptor(
+        partition=d.partition, class_states=d.class_states,
+        atom_values=flipped, padding_count=d.padding_count)
+    key = f"(R, {(cx, cx)})"
+    lines = [v for v in check_descriptor(mutant, ctx) if key in v]
+    assert len(lines) == 1 and lines[0].startswith("C2"), lines
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +277,12 @@ def solver_contexts(sentence, monkeypatch):
             return find(ctx, plan)
         return wrapper
 
+    queried = []
     with monkeypatch.context() as m:
-        m.setattr(solver, "find_ext_witness", recorded(find_ext_witness, ext))
-        m.setattr(solver, "find_witness", recorded(find_witness, plain))
+        m.setattr(solver, "find_witness", recorded(find_witness, queried))
         extended_solve(sentence)
+    for ctx in queried:
+        (ext if isinstance(ctx.state, ExtendedType) else plain).append(ctx)
     return plain, ext
 
 
@@ -285,7 +300,7 @@ def test_shared_plan_matches_fresh_plans(monkeypatch):
             assert find_witness(ctx, shared) == find_witness(ctx)
             assert enumerate_witnesses(ctx, plan=shared) == enumerate_witnesses(ctx)
         for ctx in ext:
-            assert find_ext_witness(ctx, shared) == find_ext_witness(ctx)
+            assert find_witness(ctx, shared) == find_witness(ctx)
 
 
 def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
@@ -316,10 +331,10 @@ def test_plan_freed_without_cycle_collection(s4):
         for ctx in all_contexts(s4):
             find_witness(ctx, plan)
         state = initial_extended_type(s4.signature, neg)
-        find_ext_witness(ext_ctx_for(s4, neg, state), plan)
+        find_witness(ext_ctx_for(s4, neg, state), plan)
         refs = [weakref.ref(x) for x in
-                (plan, plan.forcings(False)[0], plan.forcings(True)[0],
-                 plan.forcings(True)[0].partition)]
+                (plan, plan.forcings(OneType)[0], plan.forcings(ExtendedType)[0],
+                 plan.forcings(ExtendedType)[0].partition)]
         del plan
         assert [r() for r in refs] == [None] * len(refs)
     finally:
