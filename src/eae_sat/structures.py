@@ -2,7 +2,8 @@
 
 The brute-force model search is the independent oracle the solvers are
 differential-tested against: it enumerates every structure up to a size
-bound, in a fixed canonical order, and evaluates the sentence directly.
+bound, in a fixed canonical order, and evaluates the sentence directly,
+on up to 2**14 structures at once with one bit per structure.
 
 The staged builder replays a SAT certificate as an increasing chain of
 models B0 <= B1 <= ..., gluing one witness instance onto every element of
@@ -200,33 +201,35 @@ def descriptor_to_structure(d, sentence):
 # ---------------------------------------------------------------------------
 
 def _compile_matrix(sentence):
-    """Translate the matrix into a plain Python lambda for the hot loop.
+    """Translate the matrix into a bitwise Python lambda for the hot loop.
 
-    The function takes one set per relation (in signature order) followed
-    by one element per prefix variable (in prefix order).  Membership
-    tests and boolean operators inline to native bytecode, which is far
-    cheaper than walking the AST once per assignment.
+    The function takes ALL (the bitset of every structure in a chunk),
+    one dict per relation (in signature order) from element tuple to the
+    bitset of structures where that tuple holds, then one element per
+    prefix variable (in prefix order), and returns the bitset of
+    structures where the matrix holds.  One call evaluates the matrix on
+    every structure of a chunk at once, one bit per structure.
     """
     def expr(node):
         if isinstance(node, Rel):
             args = ", ".join(f"v_{a}" for a in node.args)
             comma = "," if len(node.args) == 1 else ""
-            return f"(({args}{comma}) in ext_{node.name})"
+            return f"(ext_{node.name}[{args}{comma}])"
         if isinstance(node, Eq):
-            return f"(v_{node.left} == v_{node.right})"
+            return f"(ALL if v_{node.left} == v_{node.right} else 0)"
         if isinstance(node, Not):
-            return f"(not {expr(node.sub)})"
+            return f"(ALL ^ {expr(node.sub)})"
         if isinstance(node, And):
-            return f"({expr(node.left)} and {expr(node.right)})"
+            return f"({expr(node.left)} & {expr(node.right)})"
         if isinstance(node, Or):
-            return f"({expr(node.left)} or {expr(node.right)})"
+            return f"({expr(node.left)} | {expr(node.right)})"
         if isinstance(node, Imp):
-            return f"((not {expr(node.left)}) or {expr(node.right)})"
+            return f"((ALL ^ {expr(node.left)}) | {expr(node.right)})"
         if isinstance(node, Iff):
-            return f"({expr(node.left)} == {expr(node.right)})"
+            return f"({expr(node.left)} ^ {expr(node.right)} ^ ALL)"
         raise TypeError(f"unknown matrix node {node!r}")
 
-    params = [f"ext_{name}" for name, _ in sentence.signature]
+    params = ["ALL"] + [f"ext_{name}" for name, _ in sentence.signature]
     params += [f"v_{v}" for v in sentence.prefix_vars]
     source = f"lambda {', '.join(params)}: {expr(sentence.matrix)}"
     try:
@@ -235,16 +238,29 @@ def _compile_matrix(sentence):
         raise RecursionError("matrix nested too deeply") from None
 
 
-def _fast_eval(fn, exts, size, n_ys):
+_CHUNK_BITS = 14  # up to 2**14 structures per evaluation
+
+
+def _models(fn, full, exts, size, n_ys):
+    """Bitset of the chunk's structures that satisfy the sentence."""
     rng = range(size)
     y_tuples = list(product(rng, repeat=n_ys))
+    found = 0
     for zv in rng:
+        alive = full ^ found  # not yet known to be models
         for xv in rng:
-            if not any(fn(*exts, zv, xv, *yt) for yt in y_tuples):
+            need = alive  # still without a witness for this x
+            for yt in y_tuples:
+                need &= ~fn(full, *exts, zv, xv, *yt)
+                if not need:
+                    break
+            alive ^= need
+            if not alive:
                 break
-        else:
-            return True
-    return False
+        found |= alive
+        if found == full:
+            break
+    return found
 
 
 def brute_force_search(sentence, max_size, budget=10**7):
@@ -253,33 +269,50 @@ def brute_force_search(sentence, max_size, budget=10**7):
     Universes of size 1..max_size; per size, extents are enumerated by
     binary counting over the concatenated tuple list (relations in
     signature order, tuples in positional product order, first tuple as
-    least significant bit).  Exhaustive within the bound.
+    least significant bit).  Exhaustive within the bound.  Structures are
+    evaluated as bitsets, up to 2**_CHUNK_BITS at a time: the low slots
+    vary inside a chunk and the others are fixed per chunk, so the lowest
+    satisfying bit is the first model in the enumeration.  A budget of n
+    structures raises OracleBudgetExceeded(n + 1) unless a model lies
+    among the first n.
     """
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     sig = sentence.signature
     fn = _compile_matrix(sentence)
     n_ys = len(sentence.ys)
-    count = 0
+    count = 0  # structures before the current chunk
     for k in range(1, max_size + 1):
         slots = []  # (relation name, tuple) per bit position
         for name, arity in sig:
             for tup in product(range(k), repeat=arity):
                 slots.append((name, tup))
-        for i in range(1 << len(slots)):
-            count += 1
-            if count > budget:
-                raise OracleBudgetExceeded(count)
-            extents = {name: set() for name, _ in sig}
+        bits = min(len(slots), _CHUNK_BITS)
+        width = 1 << bits
+        full = (1 << width) - 1
+        # slot j < bits holds on the structures whose bit j is set
+        inner = [full ^ full // ((1 << (1 << j)) + 1) for j in range(bits)]
+        for chunk in range(1 << (len(slots) - bits)):
+            exts = {name: {} for name, _ in sig}
             for j, (name, tup) in enumerate(slots):
-                if i >> j & 1:
-                    extents[name].add(tup)
-            exts = [extents[name] for name, _ in sig]
-            if _fast_eval(fn, exts, k, n_ys):
+                exts[name][tup] = (inner[j] if j < bits else
+                                   full if chunk >> (j - bits) & 1 else 0)
+            found = _models(fn, full, [exts[name] for name, _ in sig],
+                            k, n_ys)
+            if found:
+                first = (found & -found).bit_length() - 1
+                if count + first >= budget:
+                    raise OracleBudgetExceeded(budget + 1)
+                i = chunk << bits | first
                 return FiniteStructure(
                     signature=sig, size=k,
-                    extents={name: frozenset(ts)
-                             for name, ts in extents.items()})
+                    extents={name: frozenset(tup for j, (m, tup)
+                                             in enumerate(slots)
+                                             if m == name and i >> j & 1)
+                             for name, _ in sig})
+            count += width
+            if count > budget:
+                raise OracleBudgetExceeded(budget + 1)
     return None
 
 

@@ -253,6 +253,12 @@ def flat_conjunction(tmp_path, n):
     return str(path)
 
 
+def negation_chain(tmp_path, n):
+    path = tmp_path / f"not{n}.fo"
+    path.write_text("exists z. forall x. exists y. " + "~" * n + "R(x,y)\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv,conjuncts", [
     (("check",), 1200), (("check", "--method", "extended"), 1200),
     (("parse",), 1200), (("model",), 1200),
@@ -265,3 +271,9 @@ def test_deeply_nested_matrix(tmp_path, argv, conjuncts):
     assert (code, out, err) == (1, "", "error: matrix nested too deeply\n")
     code, out, err = run(argv[0], flat_conjunction(tmp_path, 150), *argv[1:])
     assert code in (0, 10) and out and err == ""
+    if argv[0] in ("brute", "diff"):
+        # every `~` adds one level to the compiled matrix, as before
+        code, out, err = run(argv[0], negation_chain(tmp_path, 199), *argv[1:])
+        assert (code, out, err) == (1, "", "error: matrix nested too deeply\n")
+        code, out, err = run(argv[0], negation_chain(tmp_path, 150), *argv[1:])
+        assert code in (0, 10) and out and err == ""

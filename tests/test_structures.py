@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from eae_sat import structures
 from eae_sat.onetypes import OneType, enumerate_one_types, type_of_element
 from eae_sat.solver import Certificate, gfp_solve
 from eae_sat.structures import (
@@ -76,21 +79,27 @@ def test_eval_sentence_empty_universe(s1):
         eval_sentence(struct(Signature(()), 0), s1)
 
 
+def structures_in_order(sig, max_size):
+    """Every structure up to max_size, in the oracle's enumeration order."""
+    for size in range(1, max_size + 1):
+        slots = [(n, t) for n, a in sig
+                 for t in itertools.product(range(size), repeat=a)]
+        for i in range(1 << len(slots)):
+            extents = {n: frozenset(t for j, (m, t) in enumerate(slots)
+                                    if m == n and i >> j & 1)
+                       for n, _ in sig}
+            yield FiniteStructure(signature=sig, size=size, extents=extents)
+
+
 def test_eval_consistency_with_naive():
     for s in corpus.corpus(size=25):
-        model = brute_force_search(s, 2)
-        sig = s.signature
-        import itertools
-        for size in (1, 2):
-            slots = [(n, t) for n, a in sig
-                     for t in itertools.product(range(size), repeat=a)]
-            for i in range(1 << len(slots)):
-                extents = {n: frozenset(t for j, (m, t) in enumerate(slots)
-                                        if m == n and i >> j & 1)
-                           for n, _ in sig}
-                st = FiniteStructure(signature=sig, size=size, extents=extents)
-                assert eval_sentence(st, s) == eval_sentence_naive(st, s)
-        del model
+        first = None
+        for st in structures_in_order(s.signature, 2):
+            holds = eval_sentence(st, s)
+            assert holds == eval_sentence_naive(st, s)
+            if holds and first is None:
+                first = st
+        assert brute_force_search(s, 2) == first
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +172,65 @@ def test_brute_force_budget(s3):
 def test_brute_force_bad_bound(s1):
     with pytest.raises(ValueError):
         brute_force_search(s1, 0)
+
+
+def oracle_outcome(s, max_size, budget):
+    try:
+        return brute_force_search(s, max_size, budget=budget)
+    except OracleBudgetExceeded as e:
+        return ("budget exceeded", e.count)
+
+
+def test_brute_force_budget_at_first_model():
+    checked = 0
+    for s in corpus.corpus(size=100):
+        for n, st in enumerate(structures_in_order(s.signature, 2), 1):
+            if eval_sentence(st, s):
+                break
+        else:
+            continue
+        assert brute_force_search(s, 2, budget=n) == st
+        if n > 1:
+            assert oracle_outcome(s, 2, n - 1) == ("budget exceeded", n)
+            checked += 1
+    assert checked >= 10
+
+
+def test_brute_force_budget_exhaustive(s2):
+    total = 2 + 4 + 8  # P/1 on universes of size 1, 2 and 3
+    assert brute_force_search(s2, 3, budget=total) is None
+    assert oracle_outcome(s2, 3, total - 1) == ("budget exceeded", total)
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_brute_force_chunk_seams(monkeypatch, bits):
+    sentences = corpus.corpus(size=200)
+    budgets = (1, 7, 100, 10**7)
+    default = [oracle_outcome(s, 3, b) for s in sentences for b in budgets]
+    monkeypatch.setattr(structures, "_CHUNK_BITS", bits)
+    assert [oracle_outcome(s, 3, b) for s in sentences for b in budgets] \
+        == default
+
+
+def test_brute_force_one_chunk_at_size_4(monkeypatch, s4):
+    # R/2 at size 4 has 16 slots: four chunks by default, one at 20 bits,
+    # sixteen at 12 bits (then the first model of `late` is in chunk 3)
+    below = 2 + 16 + 512  # structures of size 1, 2 and 3
+    late = parse("exists z. forall x. exists y. "
+                 "(~R(x,y) & R(x,z) & R(y,x))")  # first model at size 4
+    budgets = [below + d for d in (1, 14673, 14674, 16384, 16385, 65535, 65536)]
+    default = [oracle_outcome(s4, 4, b) for b in budgets]
+    assert default[-1] is None
+    assert default[:-1] == [("budget exceeded", b + 1) for b in budgets[:-1]]
+    default += [oracle_outcome(late, 4, b) for b in budgets]
+    model = default[9]  # the 14674th structure of size 4
+    assert model.size == 4 and eval_sentence(model, late)
+    assert default[7:] == [("budget exceeded", below + 2),
+                           ("budget exceeded", below + 14674)] + [model] * 5
+    cases = [(s, b) for s in (s4, late) for b in budgets]
+    for bits in (20, 12):
+        monkeypatch.setattr(structures, "_CHUNK_BITS", bits)
+        assert [oracle_outcome(s, 4, b) for s, b in cases] == default
 
 
 # ---------------------------------------------------------------------------
