@@ -1,6 +1,14 @@
 """Command-line front end.
 
-Subcommands: check, model, diff, parse, brute, certify.
+Each subcommand takes a sentence FILE and -o/--output PATH, plus only
+the flags it reads; any other flag is a usage error:
+
+  check    --json --timings --method --max-game-depth --arity-cap
+  model    --depth
+  diff     --json --max-size --max-structures --max-game-depth --arity-cap
+  parse    --json
+  brute    --json --max-size --max-structures
+  certify  --cert
 
 Exit codes: 10 = SAT, 20 = UNSAT, 0 = success for the non-verdict
 commands (and diff agreement), 1 = usage error, 2 = parse or fragment
@@ -22,7 +30,8 @@ from .solver import (
     InternalInvariantError,
     check_certificate,
 )
-from .structures import ConstructionConflict, OracleBudgetExceeded
+from .structures import (
+    ConstructionConflict, ModelTooLarge, OracleBudgetExceeded)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,54 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser():
-    p = _Parser(prog="eae-sat", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command")
-
-    def common(sp):
-        sp.add_argument("input", help="sentence file (UTF-8, # comments)")
-        sp.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-        sp.add_argument("-o", "--output", metavar="PATH",
-                        help="write the report to PATH instead of stdout")
-        sp.add_argument("--max-structures", type=int, default=10**7)
-        sp.add_argument("--max-game-depth", type=int,
-                        default=DEFAULT_GAME_DEPTH_BUDGET)
-        sp.add_argument("--arity-cap", type=int, default=DEFAULT_ARITY_CAP)
-        sp.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in JSON output")
-
-    sp = sub.add_parser("check", help="decide satisfiability")
-    common(sp)
-    sp.add_argument("--method", choices=solver.METHODS, default="gfp")
-
-    sp = sub.add_parser("model", help="build a staged model from a certificate")
-    common(sp)
-    sp.add_argument("--depth", type=int, default=2, metavar="M")
-
-    sp = sub.add_parser("diff",
-                        help="run all methods plus the brute-force oracle")
-    common(sp)
-    sp.add_argument("--max-size", type=int, default=3, metavar="K")
-
-    sp = sub.add_parser("parse", help="parse and dump the sentence")
-    common(sp)
-
-    sp = sub.add_parser("brute", help="brute-force model search only")
-    common(sp)
-    sp.add_argument("--max-size", type=int, default=3, metavar="K")
-
-    sp = sub.add_parser("certify", help="check a certificate file")
-    common(sp)
-    sp.add_argument("--cert", required=True, metavar="FILE")
-
-    return p
-
-
 def _validate_config(args):
     for name in ("max_structures", "max_game_depth", "arity_cap"):
-        if getattr(args, name) < 1:
+        if getattr(args, name, 1) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
     if getattr(args, "depth", 0) < 0:
         raise UsageError("--depth must be nonnegative")
@@ -131,8 +95,7 @@ def _verdict_line(outcome, sentence):
     return f"UNSAT (method={outcome.method})"
 
 
-def cmd_check(args, out):
-    sentence = syntax.load_sentence(args.input)
+def cmd_check(sentence, args, out):
     outcome = _solve(sentence, args.method, args)
     if outcome.certificate is not None:
         bad = check_certificate(sentence, outcome.certificate)
@@ -148,8 +111,7 @@ def cmd_check(args, out):
     return EXIT_SAT if outcome.verdict == "SAT" else EXIT_UNSAT
 
 
-def cmd_model(args, out):
-    sentence = syntax.load_sentence(args.input)
+def cmd_model(sentence, args, out):
     outcome = solver.gfp_solve(sentence)
     if outcome.verdict == "UNSAT":
         out.write("UNSAT: no model to build\n")
@@ -163,8 +125,7 @@ def cmd_model(args, out):
     return EXIT_OK
 
 
-def cmd_diff(args, out):
-    sentence = syntax.load_sentence(args.input)
+def cmd_diff(sentence, args, out):
     verdicts = {}
     for method in solver.METHODS:
         verdicts[method] = _solve(sentence, method, args).verdict
@@ -224,8 +185,7 @@ def _dump_ast(node, indent=0):
             + _dump_ast(node.right, indent + 1))
 
 
-def cmd_parse(args, out):
-    sentence = syntax.load_sentence(args.input)
+def cmd_parse(sentence, args, out):
     if args.json:
         out.write(serialize.dumps({
             "canonical": syntax.format_sentence(sentence),
@@ -243,8 +203,7 @@ def cmd_parse(args, out):
     return EXIT_OK
 
 
-def cmd_brute(args, out):
-    sentence = syntax.load_sentence(args.input)
+def cmd_brute(sentence, args, out):
     model = structures.brute_force_search(
         sentence, args.max_size, budget=args.max_structures)
     if model is None:
@@ -259,8 +218,7 @@ def cmd_brute(args, out):
     return EXIT_SAT
 
 
-def cmd_certify(args, out):
-    sentence = syntax.load_sentence(args.input)
+def cmd_certify(sentence, args, out):
     try:
         with open(args.cert, encoding="utf-8") as fh:
             cert = serialize.certificate_from_json(json.load(fh), sentence)
@@ -276,22 +234,59 @@ def cmd_certify(args, out):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "model": cmd_model,
-    "diff": cmd_diff,
-    "parse": cmd_parse,
-    "brute": cmd_brute,
-    "certify": cmd_certify,
+_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--timings": dict(action="store_true",
+                      help="include wall-clock timings in JSON output"),
+    "--method": dict(choices=solver.METHODS, default="gfp"),
+    "--depth": dict(type=int, default=2, metavar="M"),
+    "--max-size": dict(type=int, default=3, metavar="K"),
+    "--max-structures": dict(type=int, default=10**7),
+    "--max-game-depth": dict(type=int, default=DEFAULT_GAME_DEPTH_BUDGET),
+    "--arity-cap": dict(type=int, default=DEFAULT_ARITY_CAP),
+    "--cert": dict(required=True, metavar="FILE"),
 }
+
+# name -> (function, help, the flags it reads besides FILE and -o)
+_COMMANDS = {
+    "check": (cmd_check, "decide satisfiability",
+              ("--json", "--timings", "--method", "--max-game-depth",
+               "--arity-cap")),
+    "model": (cmd_model, "build a staged model from a certificate",
+              ("--depth",)),
+    "diff": (cmd_diff, "run all methods plus the brute-force oracle",
+             ("--json", "--max-size", "--max-structures", "--max-game-depth",
+              "--arity-cap")),
+    "parse": (cmd_parse, "parse and dump the sentence", ("--json",)),
+    "brute": (cmd_brute, "brute-force model search only",
+              ("--json", "--max-size", "--max-structures")),
+    "certify": (cmd_certify, "check a certificate file", ("--cert",)),
+}
+
+
+def _build_parser():
+    p = _Parser(prog="eae-sat", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="command")
+    for name, (_, help_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("input", help="sentence file (UTF-8, # comments)")
+        sp.add_argument("-o", "--output", metavar="PATH",
+                        help="write the report to PATH instead of stdout")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+    return p
+
+
+# built once per process: argparse.parse_args leaves the parser unchanged
+_PARSER = _build_parser()
 
 
 def main(argv=None, stdout=None, stderr=None):
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
         _validate_config(args)
@@ -299,9 +294,10 @@ def main(argv=None, stdout=None, stderr=None):
         stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
 
-    out = _Out(getattr(args, "output", None))
+    out = _Out(args.output)
     try:
-        code = _COMMANDS[args.command](args, out)
+        sentence = syntax.load_sentence(args.input)
+        code = _COMMANDS[args.command][0](sentence, args, out)
         out.flush(stdout)
     except OSError as e:
         stderr.write(f"error: {e}\n")
@@ -309,7 +305,8 @@ def main(argv=None, stdout=None, stderr=None):
     except (syntax.ParseError, syntax.FragmentError, UnicodeDecodeError) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_PARSE
-    except (ArityCapExceeded, GameDepthExceeded, OracleBudgetExceeded) as e:
+    except (ArityCapExceeded, GameDepthExceeded, ModelTooLarge,
+            OracleBudgetExceeded) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except RecursionError:

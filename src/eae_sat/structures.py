@@ -46,6 +46,18 @@ class MissingStrategyEntry(Exception):
     """A realized type has no strategy entry; the certificate was unsound."""
 
 
+# Each stage of build_model_sequence can multiply the universe by 1 + the
+# number of ys.  The fixtures, tests and the benchmark's `model --depth 3`
+# stay at or below 27 elements; at 10**4 the build stops within about a
+# second, where the next stage (3**9 on three-class witnesses) would emit
+# megabytes of JSON.
+MAX_MODEL_ELEMENTS = 10**4
+
+
+class ModelTooLarge(Exception):
+    """build_model_sequence would exceed MAX_MODEL_ELEMENTS elements."""
+
+
 class OracleBudgetExceeded(Exception):
     def __init__(self, count):
         self.count = count
@@ -327,7 +339,7 @@ def build_model_sequence(sentence, cert, depth):
     the z-class lands on b0, the x-class on the element itself, the other
     classes on fresh elements (padding adds no obligations and is
     skipped).  Returns the StagedModel, or the first ConstructionConflict
-    encountered.
+    encountered; raises ModelTooLarge past MAX_MODEL_ELEMENTS elements.
     """
     sig = sentence.signature
     strategy = cert.strategy_map()
@@ -364,6 +376,10 @@ def build_model_sequence(sentence, cert, depth):
                 elif c == cx:
                     emap[c] = b
                 else:
+                    if next_fresh >= MAX_MODEL_ELEMENTS:
+                        raise ModelTooLarge(
+                            f"staged model would exceed {MAX_MODEL_ELEMENTS} "
+                            f"elements at stage {stage}; lower --depth")
                     emap[c] = next_fresh
                     next_fresh += 1
             glue.append(GlueRecord(

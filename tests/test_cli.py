@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -70,13 +72,74 @@ def test_usage_errors():
     assert code == 1
     code, _, err = run()
     assert code == 1
-    code, _, err = run("check", fixture_path("s1.fo"), "--max-structures", "0")
+    code, _, err = run("brute", fixture_path("s1.fo"), "--max-structures", "0")
     assert code == 1
     assert "must be positive" in err
     for removed in (("--jobs", "2"), ("--max-witnesses", "5")):
         code, _, err = run("check", fixture_path("s1.fo"), *removed)
         assert code == 1
         assert err.startswith("usage error:")
+
+
+# the flags each subcommand reads, besides FILE and -o: 28 settable slots
+KEPT_FLAGS = {
+    "check": ("--json", "--timings", "--method", "--max-game-depth",
+              "--arity-cap"),
+    "model": ("--depth",),
+    "diff": ("--json", "--max-size", "--max-structures", "--max-game-depth",
+             "--arity-cap"),
+    "parse": ("--json",),
+    "brute": ("--json", "--max-size", "--max-structures"),
+    "certify": ("--cert",),
+}
+FLAG_VALUES = {
+    "--json": (), "--timings": (), "--method": ("game",), "--depth": ("1",),
+    "--max-size": ("2",), "--max-structures": ("5",),
+    "--max-game-depth": ("5",), "--arity-cap": ("4",), "--cert": ("c.json",),
+}
+# every subcommand once took these; each one a subcommand never read is gone
+FORMERLY_COMMON = ("--json", "--timings", "--max-structures",
+                   "--max-game-depth", "--arity-cap")
+DROPPED = [(cmd, flag) for cmd, kept in KEPT_FLAGS.items()
+           for flag in FORMERLY_COMMON if flag not in kept]
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    slots = 0
+    for cmd, flags in KEPT_FLAGS.items():
+        argv = [cmd, "in.fo", "-o", "out.txt"]
+        for flag in flags:
+            argv += [flag, *FLAG_VALUES[flag]]
+        dests = set(vars(cli._PARSER.parse_args(argv))) - {"command"}
+        assert dests == {"input", "output"} | {
+            f[2:].replace("-", "_") for f in flags}, cmd
+        slots += len(dests)
+    assert (slots, len(DROPPED)) == (28, 19)
+
+
+@pytest.mark.parametrize("cmd,flag", DROPPED, ids=lambda a: a)
+def test_dropped_flag_is_a_usage_error(tmp_path, cmd, flag):
+    extra = ("--cert", str(tmp_path / "c.json")) if cmd == "certify" else ()
+    code, out, err = run(cmd, fixture_path("s1.fo"), *extra,
+                         flag, *FLAG_VALUES[flag])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
+def test_shared_parser_keeps_no_state(monkeypatch):
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: builds.append(1) or build())
+    with open(os.path.join(os.path.dirname(__file__), "golden", "s4.json"),
+              encoding="utf-8") as fh:
+        want = json.load(fh)["check-gfp"]
+    s4 = fixture_path("s4.fo")
+    code, out, _ = run("check", s4, "--method", "extended", "--json",
+                       "--timings")
+    assert code == 20 and json.loads(out)["stats"]["elapsed_ms"] is not None
+    assert run("check", s4, "--json") == (want["exit"], want["stdout"], "")
+    assert len(builds) <= 1
 
 
 def test_missing_file(tmp_path):
@@ -113,6 +176,22 @@ def test_model_s3(tmp_path):
 def test_model_unsat():
     code, out, _ = run("model", fixture_path("s2.fo"), "--depth", "1")
     assert code == 20
+
+
+def test_model_element_cap(tmp_path):
+    path = tmp_path / "chain.fo"
+    path.write_text("exists z. forall x. exists y1 y2. (R(x,y1) & R(y1,y2)"
+                    " & ~(x = y1) & ~(y1 = y2) & ~(x = y2))\n")
+    # every stage triples the universe: 3**9 elements would be megabytes
+    start = time.perf_counter()
+    code, out, err = run("model", str(path), "--depth", "25")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: staged model would exceed 10000 elements")
+    code, out, _ = run("model", str(path), "--depth", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fcc0589214b395c7e90d2312e4a89f63a235df962db44f0657b5732ec705690a"
 
 
 def test_model_s4_conflict():
