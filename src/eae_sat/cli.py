@@ -46,9 +46,16 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """-h/--help was given; carries the help text for main's stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _validate_config(args):
@@ -78,8 +85,8 @@ class _Out:
             stdout.write(text)
 
 
-def _solve(sentence, method, args):
-    kwargs = {}
+def _solve(sentence, method, args, memo=None):
+    kwargs = {} if memo is None else {"memo": memo}
     if method == "game":
         kwargs["depth_budget"] = args.max_game_depth
     if method == "extended":
@@ -126,9 +133,11 @@ def cmd_model(sentence, args, out):
 
 
 def cmd_diff(sentence, args, out):
+    # one memo: game and extended's plain certificate reuse gfp's searches
+    memo = solver.Memo(sentence)
     verdicts = {}
     for method in solver.METHODS:
-        verdicts[method] = _solve(sentence, method, args).verdict
+        verdicts[method] = _solve(sentence, method, args, memo).verdict
     model = structures.brute_force_search(
         sentence, args.max_size, budget=args.max_structures)
     oracle = (f"model of size {model.size}" if model is not None
@@ -290,6 +299,9 @@ def main(argv=None, stdout=None, stderr=None):
         if args.command is None:
             raise UsageError("a subcommand is required")
         _validate_config(args)
+    except _Help as e:
+        stdout.write(str(e))
+        return EXIT_OK
     except UsageError as e:
         stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE

@@ -18,8 +18,7 @@ element's 1-type; and `root(sig, pi0)`, the state of b0 itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from itertools import chain, product
 
 DEFAULT_ARITY_CAP = 3
 
@@ -62,6 +61,16 @@ class ExtendedType:
 
     patterns: tuple[tuple[bool, ...], ...]
 
+    def __post_init__(self):
+        # not fields, so ==, hash and repr see only `patterns`; the
+        # witness search hashes states and reads their bits often
+        object.__setattr__(self, "bits", tuple(chain.from_iterable(
+            self.patterns)))
+        object.__setattr__(self, "_hash", hash((self.patterns,)))
+
+    def __hash__(self):
+        return self._hash
+
     def own_type(self):
         """Projection to all-current-element patterns: the element's 1-type."""
         return OneType(tuple(p[-1] for p in self.patterns))
@@ -69,12 +78,6 @@ class ExtendedType:
     def z_type(self):
         """Projection to all-reference-element patterns: b0's 1-type."""
         return OneType(tuple(p[0] for p in self.patterns))
-
-    @cached_property
-    def bits(self):
-        """All pattern bits, relation by relation; not a field, so ==,
-        hash and repr see only `patterns`."""
-        return tuple(b for pats in self.patterns for b in pats)
 
     def index(self):
         """Canonical position: binary counting over all pattern bits."""
@@ -141,18 +144,19 @@ def enumerate_extended_types(sig, pi0, cap=DEFAULT_ARITY_CAP):
     """All extended types whose reference projection is pi0, canonical order.
 
     Pattern 0 of each relation is pi0's bit; the other patterns count in
-    binary, which keeps the canonical order since the fixed bits do not
-    move.
+    binary, the first relation's lowest, which keeps the canonical order
+    since the fixed bits do not move.
     """
     check_arity_cap(sig, cap)
-    widths = [(1 << arity) - 1 for _, arity in sig]
-    n = sum(widths)
-    out = []
-    for i in range(1 << n):
-        free = iter(bool(i >> j & 1) for j in range(n))
-        out.append(ExtendedType(tuple(
-            (pi0.bit(r),) + tuple(islice(free, w)) for r, w in enumerate(widths))))
-    return tuple(out)
+    per_relation = []
+    for r, (_, arity) in enumerate(sig):
+        w = (1 << arity) - 1
+        per_relation.append([(pi0.bit(r),) + tuple(bool(i >> j & 1)
+                                                    for j in range(w))
+                             for i in range(1 << w)])
+    # product varies its last factor fastest: the first relation
+    return tuple(ExtendedType(pats[::-1])
+                 for pats in product(*per_relation[::-1]))
 
 
 # ---------------------------------------------------------------------------

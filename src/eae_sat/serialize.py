@@ -6,7 +6,7 @@ serialized output is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .onetypes import ExtendedType, one_type_from_symbols, render_extended_type
 from .solver import Certificate
@@ -152,4 +152,67 @@ def conflict_to_json(conflict):
 
 
 def dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True)` plus a newline.
+
+    Written out directly: with `indent` set, the json module leaves its
+    C encoder for a slower pure-Python one.
+    """
+    parts = []
+    _write(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _scalar(o):
+    """None, a bool, an int or a float as JSON prints it."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (float("inf"), float("-inf")):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write(o, parts, newline):
+    """Append o's JSON at the indentation that `newline` ends with."""
+    if isinstance(o, str):
+        parts.append(_quote(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            parts.append(sep)
+            _write(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if isinstance(key, str):
+                parts.append(sep + _quote(key) + ": ")
+            elif key is None or isinstance(key, (int, float)):
+                parts.append(sep + _quote(_scalar(key)) + ": ")
+            else:
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            _write(value, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(_scalar(o))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .onetypes import (
     DEFAULT_ARITY_CAP,
@@ -98,34 +99,50 @@ class SolveOutcome:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-class _Memo:
+class Memo:
     """Witness searches memoized by (pi0, state, allowed-set).
 
     A state is a 1-type or an extended type; the search follows its kind.
-    Every search runs through one SearchPlan, which lives as long as the
-    memo: one solve.  `record`, when given, collects the key of every
-    search actually run.
+    Every search runs through one SearchPlan, built at the first search,
+    which lives as long as the memo.  Solves of one sentence may share a
+    memo: each answer is searched once, while `begin` starts a solve's
+    own count, in which a key is a search the first time that solve asks
+    it and a hit after.  `record`, when given, collects the key of every
+    such search.
     """
 
     def __init__(self, sentence, record=None):
         self.sentence = sentence
-        self.plan = SearchPlan(sentence)
-        self.table = {}
+        self.table = {}  # key -> [descriptor or None, solve that last asked]
+        self.record = record
+        self.solve = 0
         self.searches = 0
         self.hits = 0
-        self.record = record
+
+    @cached_property
+    def plan(self):
+        return SearchPlan(self.sentence)
+
+    def begin(self):
+        self.solve += 1
+        self.searches = 0
+        self.hits = 0
 
     def find(self, pi0, state, allowed):
         key = (pi0, state, allowed)
-        if key in self.table:
+        entry = self.table.get(key)
+        if entry is not None and entry[1] == self.solve:
             self.hits += 1
-            return self.table[key]
+            return entry[0]
         self.searches += 1
         if self.record is not None:
             self.record.append(key)
-        d = self.table[key] = find_witness(
-            WitnessContext(self.sentence, pi0, state, allowed), self.plan)
-        return d
+        if entry is None:
+            entry = self.table[key] = [find_witness(
+                WitnessContext(self.sentence, pi0, state, allowed),
+                self.plan), self.solve]
+        entry[1] = self.solve
+        return entry[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +178,7 @@ def _decide(method, all_types, memo, states_of, certify=None):
     given, builds the certificate of the accepted candidate.
     """
     t0 = time.perf_counter()
+    memo.begin()
     stats = SolveStats(types_total=len(all_types))
     traces = []
     for pi0 in all_types:
@@ -186,15 +204,20 @@ def _decide(method, all_types, memo, states_of, certify=None):
 # The three methods
 # ---------------------------------------------------------------------------
 
-def gfp_solve(sentence, record_contexts=None):
-    """Decide satisfiability by type elimination; the reference method."""
+def gfp_solve(sentence, record_contexts=None, memo=None):
+    """Decide satisfiability by type elimination; the reference method.
+
+    `memo`, here and in the other methods, is a `Memo` of the same
+    sentence that earlier solves may have filled.
+    """
     all_types = enumerate_one_types(sentence.signature)
-    memo = _Memo(sentence, record=record_contexts)
+    memo = memo or Memo(sentence, record=record_contexts)
     return _decide("gfp", all_types, memo, lambda pi0: (all_types, pi0),
                    lambda pi0, good: _certificate(pi0, good, memo))
 
 
-def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET):
+def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET,
+                       memo=None):
     """Decide satisfiability by the counter-bounded game.
 
     Acc(pi, D) accepts outright at depth D = 2^{|sigma|}+1; below it,
@@ -209,11 +232,11 @@ def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET):
     depth = len(all_types) + 1  # 2^{|sigma|} + 1
     if depth > depth_budget:
         raise GameDepthExceeded(depth, depth_budget)
-    return _decide("game", all_types, _Memo(sentence),
+    return _decide("game", all_types, memo or Memo(sentence),
                    lambda pi0: (all_types, pi0))
 
 
-def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP):
+def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
     """Type elimination over z-relative extended states.
 
     SAT results carry a plain certificate for the same starting type:
@@ -223,7 +246,7 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP):
     sig = sentence.signature
     check_arity_cap(sig, arity_cap)
     all_types = enumerate_one_types(sig)
-    memo = _Memo(sentence)
+    memo = memo or Memo(sentence)
 
     def states_of(pi0):
         return (enumerate_extended_types(sig, pi0, cap=arity_cap),

@@ -17,6 +17,7 @@ actually be glued into a model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .onetypes import OneType, render_one_type, type_of_element
@@ -47,15 +48,17 @@ class MissingStrategyEntry(Exception):
 
 
 # Each stage of build_model_sequence can multiply the universe by 1 + the
-# number of ys.  The fixtures, tests and the benchmark's `model --depth 3`
-# stay at or below 27 elements; at 10**4 the build stops within about a
-# second, where the next stage (3**9 on three-class witnesses) would emit
-# megabytes of JSON.
+# number of ys, or copy the last stage when no witness adds an element;
+# every stage is printed.  The fixtures, tests and the benchmark's
+# `model --depth 3` stay at or below 27 elements per stage; at 10**4
+# elements over all stages the build stops within about a second, where
+# the next stage (3**9 on three-class witnesses) or ten thousand copies
+# would emit megabytes of JSON.
 MAX_MODEL_ELEMENTS = 10**4
 
 
 class ModelTooLarge(Exception):
-    """build_model_sequence would exceed MAX_MODEL_ELEMENTS elements."""
+    """build_model_sequence would print over MAX_MODEL_ELEMENTS elements."""
 
 
 class OracleBudgetExceeded(Exception):
@@ -124,7 +127,7 @@ def eval_qf(structure, assignment, matrix):
         except KeyError as e:
             raise UnboundVariableError(f"unbound variable {e.args[0]!r}") from None
 
-    return eval_matrix(matrix, rel_value, eq_value) is True
+    return bool(eval_matrix(matrix, rel_value, eq_value))
 
 
 def eval_sentence(structure, sentence):
@@ -250,7 +253,15 @@ def _compile_matrix(sentence):
         raise RecursionError("matrix nested too deeply") from None
 
 
-_CHUNK_BITS = 14  # up to 2**14 structures per evaluation
+_CHUNK_BITS = 14  # up to 2**14 structures (or valuations) per evaluation
+
+
+@lru_cache(maxsize=None)
+def slot_patterns(bits):
+    """The bitset of all 2**bits table entries, and per slot j < bits the
+    entries whose bit j is set: the periodic pattern of runs of 2**j."""
+    full = (1 << (1 << bits)) - 1
+    return full, tuple(full ^ full // ((1 << (1 << j)) + 1) for j in range(bits))
 
 
 def _models(fn, full, exts, size, n_ys):
@@ -301,9 +312,8 @@ def brute_force_search(sentence, max_size, budget=10**7):
                 slots.append((name, tup))
         bits = min(len(slots), _CHUNK_BITS)
         width = 1 << bits
-        full = (1 << width) - 1
         # slot j < bits holds on the structures whose bit j is set
-        inner = [full ^ full // ((1 << (1 << j)) + 1) for j in range(bits)]
+        full, inner = slot_patterns(bits)
         for chunk in range(1 << (len(slots) - bits)):
             exts = {name: {} for name, _ in sig}
             for j, (name, tup) in enumerate(slots):
@@ -339,7 +349,8 @@ def build_model_sequence(sentence, cert, depth):
     the z-class lands on b0, the x-class on the element itself, the other
     classes on fresh elements (padding adds no obligations and is
     skipped).  Returns the StagedModel, or the first ConstructionConflict
-    encountered; raises ModelTooLarge past MAX_MODEL_ELEMENTS elements.
+    encountered; raises ModelTooLarge once the stages would hold more than
+    MAX_MODEL_ELEMENTS elements in all.
     """
     sig = sentence.signature
     strategy = cert.strategy_map()
@@ -352,6 +363,12 @@ def build_model_sequence(sentence, cert, depth):
     stages = [FiniteStructure(signature=sig, size=1, extents=extents0)]
     glue = []
     next_fresh = 1
+    printed = 1  # elements over the stages built so far
+
+    def too_large(stage):
+        return ModelTooLarge(
+            f"staged model would exceed {MAX_MODEL_ELEMENTS} elements over "
+            f"its stages at stage {stage}; lower --depth")
 
     for stage in range(1, depth + 1):
         prev = stages[-1]
@@ -376,10 +393,8 @@ def build_model_sequence(sentence, cert, depth):
                 elif c == cx:
                     emap[c] = b
                 else:
-                    if next_fresh >= MAX_MODEL_ELEMENTS:
-                        raise ModelTooLarge(
-                            f"staged model would exceed {MAX_MODEL_ELEMENTS} "
-                            f"elements at stage {stage}; lower --depth")
+                    if printed + next_fresh >= MAX_MODEL_ELEMENTS:
+                        raise too_large(stage)
                     emap[c] = next_fresh
                     next_fresh += 1
             glue.append(GlueRecord(
@@ -423,6 +438,9 @@ def build_model_sequence(sentence, cert, depth):
                 else:
                     required[key] = v
 
+        if printed + next_fresh > MAX_MODEL_ELEMENTS:
+            raise too_large(stage)
+        printed += next_fresh
         new_extents = {}
         for name, _ in sig:
             ts = set(prev.extents.get(name, frozenset()))

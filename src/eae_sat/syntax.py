@@ -433,50 +433,39 @@ def format_sentence(s):
 
 
 # ---------------------------------------------------------------------------
-# Matrix semantics over an abstract atom valuation
+# Matrix semantics over a table of atom valuations
 # ---------------------------------------------------------------------------
 
-def eval_matrix(node, rel_value, eq_value):
-    """Three-valued (Kleene) evaluation of a matrix.
+def eval_matrix(node, rel_value, eq_value, full=1):
+    """Bitwise evaluation of a matrix on a table of valuations at once.
 
-    `rel_value(atom)` may return True, False, or None (unknown);
-    `eq_value(u, v)` must return a definite boolean.  The result is None
-    only if the truth value genuinely depends on unknown atoms.
+    Bit i of a value says whether it holds on valuation i, and `full`
+    has one bit per valuation.  `rel_value(atom)` gives the valuations
+    on which a relation atom holds; `eq_value(u, v)` says whether u and
+    v are equal, which is the same on every valuation.  The result is
+    the set of valuations that satisfy the matrix.  With the default
+    `full=1` a table holds one valuation, and `rel_value` may return a
+    bool.
     """
     if isinstance(node, Rel):
         return rel_value(node)
     if isinstance(node, Eq):
-        return eq_value(node.left, node.right)
+        return full if eq_value(node.left, node.right) else 0
     if isinstance(node, Not):
-        v = eval_matrix(node.sub, rel_value, eq_value)
-        return None if v is None else not v
-    a = eval_matrix(node.left, rel_value, eq_value)
+        return full ^ eval_matrix(node.sub, rel_value, eq_value, full)
+    a = eval_matrix(node.left, rel_value, eq_value, full)
     if isinstance(node, And):
-        if a is False:
-            return False
-        b = eval_matrix(node.right, rel_value, eq_value)
-        if b is False:
-            return False
-        return True if (a is True and b is True) else None
+        return a and a & eval_matrix(node.right, rel_value, eq_value, full)
     if isinstance(node, Or):
-        if a is True:
-            return True
-        b = eval_matrix(node.right, rel_value, eq_value)
-        if b is True:
-            return True
-        return False if (a is False and b is False) else None
+        if a == full:
+            return a
+        return a | eval_matrix(node.right, rel_value, eq_value, full)
     if isinstance(node, Imp):
-        if a is False:
-            return True
-        b = eval_matrix(node.right, rel_value, eq_value)
-        if b is True:
-            return True
-        return False if (a is True and b is False) else None
+        if not a:
+            return full
+        return (full ^ a) | eval_matrix(node.right, rel_value, eq_value, full)
     if isinstance(node, Iff):
-        b = eval_matrix(node.right, rel_value, eq_value)
-        if a is None or b is None:
-            return None
-        return a is b
+        return a ^ eval_matrix(node.right, rel_value, eq_value, full) ^ full
     raise TypeError(f"not a matrix node: {node!r}")
 
 

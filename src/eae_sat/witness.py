@@ -15,17 +15,19 @@ state's kind decides which atom keys a class state forces.
 Search order is fixed so that "the" witness for a context is well
 defined: partitions of (z, x, y1, ...) as restricted-growth strings in
 reverse lexicographic order (all-distinct first, all-merged last), then
-state choices for unconstrained classes in canonical state order, then
-free atom values by binary counting (first key in sorted order = least
-significant bit).
+state choices for unconstrained classes in canonical state order (the
+first free class varies slowest, as in `itertools.product`), then free
+atom values by binary counting (first key in sorted order = least
+significant bit).  The search is bitwise: the first valuation of a combo
+is the lowest set bit of its partition's truth table under its masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
+from . import structures
 from .onetypes import OneType, _forced_bit
 from .syntax import PrenexSentence, atoms_of, eval_matrix
 
@@ -78,67 +80,27 @@ def realized_states(d):
 
 
 # ---------------------------------------------------------------------------
-# Partition enumeration
+# Core search
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _partitions(k):
     """Restricted-growth strings of length k, reverse lexicographic order."""
-    out = []
-
-    def extend(prefix, mx):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for c in range(mx + 2):
-            prefix.append(c)
-            extend(prefix, max(mx, c))
-            prefix.pop()
-
-    extend([0], 0) if k else out.append(())
-    out.reverse()
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Core search
-# ---------------------------------------------------------------------------
-
-class _Replay:
-    """An iterator's items, produced on first demand and replayed after."""
-
-    def __init__(self, it):
-        self._it = it
-        self._items = []
-
-    def __iter__(self):
-        if self._it is None:
-            return iter(self._items)
-        return self._resume()
-
-    def _resume(self):
-        i = 0
-        while True:
-            if i == len(self._items):
-                if self._it is None:
-                    return
-                item = next(self._it, _DONE)
-                if item is _DONE:
-                    self._it = None
-                    return
-                self._items.append(item)
-            yield self._items[i]
-            i += 1
-
-
-_DONE = object()
+    out = [()]
+    for _ in range(k):
+        out = [p + (c,) for p in out for c in range(max(p, default=-1) + 2)]
+    return tuple(reversed(out))
 
 
 class _Partition:
-    """One partition's atom keys, shared by the plain and extended searches.
+    """One partition's atom keys, the matrix's truth table over them (a
+    chunk is evaluated when a search first reaches it), and the masks
+    that class states put on it.  Nothing in it refers back to it.
 
-    It refers to nothing that refers back to it, so a plan is freed by
-    reference counting as soon as its solve drops it.
+    Valuation v gives key j (sorted order) the value of bit j of v: the
+    low `bits` keys vary inside a chunk and the others are fixed per
+    chunk, as in the brute-force oracle.  A constraint (low, high, fixed)
+    allows, in the chunks c with c & high == fixed, the bits of `low`.
     """
 
     def __init__(self, plan, part):
@@ -147,81 +109,105 @@ class _Partition:
         self.nclasses = max(part) + 1
         self.free_classes = tuple(
             c for c in range(self.nclasses) if c not in (self.cz, self.cx))
-        key_of = {a: (a.name, tuple(part[plan.var_index[arg]] for arg in a.args))
-                  for a in plan.atoms}
-        self.keys = sorted(set(key_of.values()))
+        var_index = plan.var_index
+        atom_keys = [(a.name, tuple(part[var_index[v]] for v in a.args))
+                     for a in plan.atoms]
+        self.keys = sorted(set(atom_keys))
         slot_of_key = {key: slot for slot, key in enumerate(self.keys)}
-        self._slot_of = {a: slot_of_key[key] for a, key in key_of.items()}
-        self._matrix = plan.sentence.matrix
-        self._eq_value = plan.eq_value(part)
+        slots = [slot_of_key[key] for key in atom_keys]
+        self.bits = bits = min(len(self.keys), structures._CHUNK_BITS)
+        self.full, self._inner = full, inner = structures.slot_patterns(bits)
+        sentence, atoms = plan.sentence, plan.atoms
 
-    def satisfying(self, forced_slots, free_slots, forced):
-        """Atom values, in sorted-key order, that satisfy the matrix and
-        give the keys in `forced_slots` the values `forced`; the keys in
-        `free_slots` run through binary counting, first one least
-        significant."""
-        keys, slot_of, eq_value = self.keys, self._slot_of, self._eq_value
-        values = [None] * len(keys)
-        for slot, v in zip(forced_slots, forced):
-            values[slot] = v
+        def eq_value(u, v):
+            return part[var_index[u]] == part[var_index[v]]
 
-        def rel_value(a):
-            return values[slot_of[a]]
+        def evaluate(chunk):
+            value = dict(zip(atoms, [
+                inner[j] if j < bits else full if chunk >> j - bits & 1 else 0
+                for j in slots]))
+            return eval_matrix(sentence.matrix, value.__getitem__, eq_value, full)
 
-        if eval_matrix(self._matrix, rel_value, eq_value) is False:
+        self._evaluate, self._sig = evaluate, sentence.signature
+        self._top = (1 << len(self.keys) - bits) - 1  # the last chunk
+        self._table = {}  # chunk -> its satisfying valuations
+        self._nonzero = None  # once every chunk is known, those with some
+        self._rules = {}  # state kind -> per class: [(slot, state bit)]
+        self._masks = {}  # (class, state) -> constraint
+        self._levels = {}  # allowed state set -> levels()
+
+    def hits(self, constraint):
+        """(chunk, bitset) for each chunk in which the constraint allows a
+        satisfying valuation, in increasing order."""
+        low, high, fixed = constraint
+        if self._nonzero is not None:
+            for c in self._nonzero:
+                if c & high == fixed and self._table[c] & low:
+                    yield c, self._table[c] & low
             return
-        for i in range(1 << len(free_slots)):
-            for j, slot in enumerate(free_slots):
-                values[slot] = bool(i >> j & 1)
-            if eval_matrix(self._matrix, rel_value, eq_value) is True:
-                yield tuple((name, ctuple, values[slot])
-                            for slot, (name, ctuple) in enumerate(keys))
+        free, s = self._top & ~high, 0
+        while True:  # the chunks fixed | s, s running over subsets of free
+            t = self._table.get(fixed | s)
+            if t is None:
+                t = self._table[fixed | s] = self._evaluate(fixed | s)
+                if len(self._table) > self._top:
+                    self._nonzero = [c for c in sorted(self._table) if self._table[c]]
+            if t & low:
+                yield fixed | s, t & low
+            if s == free:
+                return
+            s = (s - free) & free
 
+    def meet(self, p, q):
+        """What both constraints allow, or None if no satisfying valuation."""
+        if (p[2] ^ q[2]) & p[1] & q[1]:
+            return None
+        m = p[0] & q[0], p[1] | q[1], p[2] | q[2]
+        return m if next(self.hits(m), None) else None
 
-class _Forcing:
-    """Which atom keys a state kind forces on a partition, and a memo.
+    def mask(self, c, state):
+        """The constraint of class c holding `state`: the keys the state
+        forces (`onetypes._forced_bit`) take its bits, so states that
+        force the same values have equal constraints."""
+        out = self._masks.get((c, state))
+        if out is None:
+            kind = type(state)
+            if kind not in self._rules:
+                self._rules[kind] = rules = [[] for _ in range(self.nclasses)]
+                for slot, (name, ctuple) in enumerate(self.keys):
+                    rule = _forced_bit(self._sig, name, ctuple, self.cz, kind)
+                    if rule is not None:
+                        rules[rule[0]].append((slot, rule[1]))
+            low, high, fixed = self.full, 0, 0
+            for slot, b in self._rules[kind][c]:
+                v = state.bits[b]
+                if slot < self.bits:
+                    low &= self._inner[slot] if v else self.full ^ self._inner[slot]
+                else:
+                    high |= 1 << slot - self.bits
+                    fixed |= v << slot - self.bits
+            out = self._masks[c, state] = low, high, fixed
+        return out
 
-    `rules` lists, for each forced key in sorted-key order, the (class,
-    bit) of the class state that fixes its value (`onetypes._forced_bit`).
-    """
+    def levels(self, allowed, ordered):
+        """Per free class, (state, constraint) for each state, in order."""
+        out = self._levels.get(allowed)
+        if out is None:
+            out = self._levels[allowed] = tuple(
+                [(s, self.mask(c, s)) for s in ordered]
+                for c in self.free_classes)
+        return out
 
-    def __init__(self, partition, sig, kind):
-        rules, forced_slots, free_slots = [], [], []
-        for slot, (name, ctuple) in enumerate(partition.keys):
-            rule = _forced_bit(sig, name, ctuple, partition.cz, kind)
-            if rule is None:
-                free_slots.append(slot)
-            else:
-                rules.append(rule)
-                forced_slots.append(slot)
-        self.partition = partition
-        self.rules = tuple(rules)
-        self._forced_slots = tuple(forced_slots)
-        self._free_slots = tuple(free_slots)
-        self._memo = {}
-
-    def assignments(self, forced):
-        """The partition's satisfying atom values that agree with `forced`,
-        the forced keys' values in rule order; computed as far as asked."""
-        replay = self._memo.get(forced)
-        if replay is None:
-            replay = self._memo[forced] = _Replay(self.partition.satisfying(
-                self._forced_slots, self._free_slots, forced))
-        return replay
+    def atom_values(self, v):
+        return tuple((name, ctuple, bool(v >> slot & 1))
+                     for slot, (name, ctuple) in enumerate(self.keys))
 
 
 class SearchPlan:
-    """What every witness search for one sentence shares, settled once.
-
-    Partitions whose equalities alone falsify the matrix are dropped
-    once.  Each surviving partition gets its sorted atom keys once and,
-    per state kind, its forcing rules, free keys, and a memo from forced
-    valuations to their satisfying free-atom assignments, filled only as
-    far as some search has asked.  Searches through one plan give
-    exactly the descriptors, in exactly the order, that searches through
-    fresh plans give.
-
-    The solver builds one plan per solve; nothing in it outlives that.
+    """What every witness search for one sentence shares, settled once:
+    the partitions some valuation satisfies, with their tables and masks,
+    the root per (kind, pi0) and the canonical order of each allowed set.
+    Searches through one plan give the descriptors fresh plans give.
     """
 
     def __init__(self, sentence):
@@ -229,83 +215,95 @@ class SearchPlan:
         self.atoms = atoms_of(sentence.matrix)
         self.var_index = {v: i for i, v in enumerate(sentence.prefix_vars)}
         self._ordered = {}  # allowed state set -> its members in canonical order
-        self._forcings = {}  # state kind -> forcings()
+        self._roots = {}  # (state kind, pi0) -> the z-class state
 
     def ordered(self, allowed):
         """The states of `allowed` in canonical order."""
         out = self._ordered.get(allowed)
         if out is None:
-            out = self._ordered[allowed] = sorted(allowed, key=lambda s: s.index())
+            # bits from the last: the order of index(), without the sums
+            out = self._ordered[allowed] = sorted(
+                allowed, key=lambda s: s.bits[::-1])
         return out
 
-    def eq_value(self, part):
-        """The equality valuation a partition settles."""
-        var_index = self.var_index
-
-        def eq_value(u, v):
-            return part[var_index[u]] == part[var_index[v]]
-        return eq_value
-
-    def forcings(self, kind):
-        """The forcing by states of `kind` (OneType or ExtendedType) of
-        every partition the equalities alone do not rule out, in
-        canonical order."""
-        out = self._forcings.get(kind)
+    def root(self, kind, pi0):
+        """The state of z itself for states of `kind`."""
+        out = self._roots.get((kind, pi0))
         if out is None:
-            sig = self.sentence.signature
-            out = self._forcings[kind] = [
-                _Forcing(pt, sig, kind) for pt in self._alive]
+            out = self._roots[kind, pi0] = kind.root(self.sentence.signature, pi0)
         return out
 
     @cached_property
-    def _alive(self):
-        matrix = self.sentence.matrix
-        return [_Partition(self, part)
-                for part in _partitions(len(self.sentence.prefix_vars))
-                if eval_matrix(matrix, _unknown, self.eq_value(part)) is not False]
-
-
-def _unknown(atom):
-    return None
+    def partitions(self):
+        """The partitions some valuation satisfies, in canonical order."""
+        parts = (_Partition(self, part)
+                 for part in _partitions(len(self.sentence.prefix_vars)))
+        return [pt for pt in parts if next(pt.hits((pt.full, 0, 0)), None)]
 
 
 def _plan_for(ctx, plan):
     if plan is None:
         return SearchPlan(ctx.sentence)
-    if plan.sentence != ctx.sentence:
+    if plan.sentence is not ctx.sentence and plan.sentence != ctx.sentence:
         raise ValueError("the search plan was built for another sentence")
     return plan
+
+
+def _walk(pt, levels, constraint, depth, combo):
+    """Yield (combo, valuation) for each completion of `combo`, the states
+    of the first `depth` free classes, in canonical order; `constraint`
+    is what `combo` allows.
+
+    Depth first, in `product` order: a prefix that allows no satisfying
+    valuation is dropped, and so is a state whose constraint already
+    failed at the same prefix, since its subtree is the same.
+    """
+    if depth == len(levels):
+        for chunk, t in pt.hits(constraint):
+            while t:
+                bit = t & -t
+                yield combo, chunk << pt.bits | bit.bit_length() - 1
+                t ^= bit
+        return
+    failed = set()
+    for s, mask in levels[depth]:
+        if mask in failed:
+            continue
+        sub = pt.meet(constraint, mask)
+        found = False
+        if sub is not None:
+            for item in _walk(pt, levels, sub, depth + 1, combo + (s,)):
+                found = True
+                yield item
+        if not found:
+            failed.add(mask)
 
 
 def _search(plan, ctx):
     """Yield all valid descriptors for the context, in canonical order."""
     state, allowed = ctx.state, ctx.allowed
-    kind = type(state)
-    root = kind.root(plan.sentence.signature, ctx.pi0)
+    root = plan.root(type(state), ctx.pi0)
     if root not in allowed or state not in allowed:
         return
     ordered = plan.ordered(allowed)
     k = len(plan.sentence.prefix_vars)
 
-    for forcing in plan.forcings(kind):
-        pt, rules = forcing.partition, forcing.rules
-        part, cz, cx, free_classes = pt.part, pt.cz, pt.cx, pt.free_classes
+    for pt in plan.partitions:
+        cz, cx = pt.cz, pt.cx
         if cz == cx and state != root:
             continue
-        padding = k - pt.nclasses
+        start = pt.meet(pt.mask(cz, root), pt.mask(cx, state))
+        if start is None:
+            continue
         states = [None] * pt.nclasses
         states[cz] = root
         states[cx] = state
-
-        for combo in product(ordered, repeat=len(free_classes)):
-            for c, s in zip(free_classes, combo):
+        for combo, v in _walk(pt, pt.levels(allowed, ordered), start, 0, ()):
+            for c, s in zip(pt.free_classes, combo):
                 states[c] = s
-            class_states = tuple(states)
-            forced = tuple([states[c].bits[b] for c, b in rules])
-            for atom_values in forcing.assignments(forced):
-                yield WitnessDescriptor(
-                    partition=part, class_states=class_states,
-                    atom_values=atom_values, padding_count=padding)
+            yield WitnessDescriptor(
+                partition=pt.part, class_states=tuple(states),
+                atom_values=pt.atom_values(v), padding_count=k - pt.nclasses)
 
 
 def find_witness(ctx, plan=None):
@@ -418,7 +416,7 @@ def check_descriptor(d, ctx):
     def eq_value(u, v):
         return d.partition[var_index[u]] == d.partition[var_index[v]]
 
-    if eval_matrix(sentence.matrix, rel_value, eq_value) is not True:
+    if not eval_matrix(sentence.matrix, rel_value, eq_value):
         violations.append("C5: matrix is not satisfied by the induced valuation")
 
     extra = realized_states(d) - ctx.allowed

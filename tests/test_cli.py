@@ -142,6 +142,19 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     assert len(builds) <= 1
 
 
+def test_help_goes_to_the_given_stdout():
+    code, out, err = run("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: eae-sat ") and "certify" in out
+
+
+def test_subcommand_help_goes_to_the_given_stdout():
+    code, out, err = run("check", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: eae-sat check ") and "--method" in out
+    assert run("model", "-h", fixture_path("s1.fo"))[:1] == (0,)
+
+
 def test_missing_file(tmp_path):
     code, _, err = run("check", "/nonexistent/sentence.fo")
     assert code == 1
@@ -192,6 +205,15 @@ def test_model_element_cap(tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "fcc0589214b395c7e90d2312e4a89f63a235df962db44f0657b5732ec705690a"
+
+
+def test_model_stage_cap():
+    # no witness adds an element, so every stage copies the last
+    start = time.perf_counter()
+    code, out, err = run("model", fixture_path("s1.fo"), "--depth", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: staged model would exceed 10000 elements")
 
 
 def test_model_s4_conflict():

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from eae_sat import solver
 from eae_sat.onetypes import OneType, enumerate_one_types
 from eae_sat.serialize import certificate_from_json, certificate_to_json
 from eae_sat.solver import (
@@ -230,6 +234,43 @@ def test_kinds_agree_on_unary_signatures():
             assert projected(ext.refutation) == projected(gfp.refutation)
         checked += 1
     assert checked > 300
+
+
+def test_shared_memo_gives_each_solve_its_own_outcome(monkeypatch):
+    # diff's solves through one memo: the same outcomes and per-solve
+    # stats as alone, and no witness search runs twice
+    calls = []
+    find = solver.find_witness
+    monkeypatch.setattr(solver, "find_witness",
+                        lambda ctx, plan=None: calls.append(ctx) or find(ctx, plan))
+    saved = 0
+    for s in corpus.corpus(size=120):
+        del calls[:]
+        alone = [solve(s, method=m) for m in METHODS]
+        searched_alone = len(calls)
+        del calls[:]
+        memo = solver.Memo(s)
+        shared = [solve(s, method=m, memo=memo) for m in METHODS]
+        assert len(calls) == len(set(calls)) == len(memo.table)
+        saved += searched_alone - len(calls)
+        for a, b in zip(alone, shared):
+            b.stats.elapsed_ms = a.stats.elapsed_ms
+            assert a == b
+    assert saved > 0
+
+
+def test_shared_memo_freed_without_cycle_collection(s4):
+    # a memo, its plan and the plan's tables hold no reference cycle
+    gc.disable()
+    try:
+        memo = solver.Memo(s4)
+        for m in METHODS:
+            solve(s4, method=m, memo=memo)
+        refs = [weakref.ref(x) for x in (memo, memo.plan)]
+        del memo
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_stats_populated(s3):

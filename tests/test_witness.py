@@ -1,6 +1,7 @@
 import gc
 import os
 import weakref
+from itertools import product
 
 import pytest
 
@@ -12,9 +13,9 @@ from eae_sat.onetypes import (
     initial_extended_type,
 )
 from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
-from eae_sat import solver, witness
+from eae_sat import solver, structures, witness
 from eae_sat.solver import extended_solve, gfp_solve
-from eae_sat.syntax import load_sentence, parse
+from eae_sat.syntax import atoms_of, load_sentence, parse
 from eae_sat.witness import (
     SearchPlan,
     WitnessBudgetExceeded,
@@ -332,9 +333,7 @@ def test_plan_freed_without_cycle_collection(s4):
             find_witness(ctx, plan)
         state = initial_extended_type(s4.signature, neg)
         find_witness(ext_ctx_for(s4, neg, state), plan)
-        refs = [weakref.ref(x) for x in
-                (plan, plan.forcings(OneType)[0], plan.forcings(ExtendedType)[0],
-                 plan.forcings(ExtendedType)[0].partition)]
+        refs = [weakref.ref(x) for x in (plan, plan.partitions[0])]
         del plan
         assert [r() for r in refs] == [None] * len(refs)
     finally:
@@ -345,3 +344,117 @@ def test_plan_rejects_another_sentence(s3, s4):
     neg = OneType((False,))
     with pytest.raises(ValueError):
         find_witness(ctx_for(s3, neg, neg), SearchPlan(s4))
+
+
+# ---------------------------------------------------------------------------
+# The search against a naive reference
+# ---------------------------------------------------------------------------
+
+def naive_partitions(k):
+    """Restricted-growth strings of length k, reverse lexicographic order."""
+    def canonical(p):
+        return all(c <= max(p[:i], default=-1) + 1 for i, c in enumerate(p))
+    return sorted((p for p in product(range(k), repeat=k) if canonical(p)),
+                  reverse=True)
+
+
+def naive_candidates(ctx):
+    """Every candidate descriptor in canonical order: partitions, then
+    state combos from `product`, then key valuations by binary counting."""
+    s = ctx.sentence
+    root = type(ctx.state).root(s.signature, ctx.pi0)
+    ordered = sorted(ctx.allowed, key=lambda st: st.index())
+    k = len(s.prefix_vars)
+    index = {v: i for i, v in enumerate(s.prefix_vars)}
+    for part in naive_partitions(k):
+        n = max(part) + 1
+        free = [c for c in range(n) if c not in part[:2]]
+        keys = sorted({(a.name, tuple(part[index[v]] for v in a.args))
+                       for a in atoms_of(s.matrix)})
+        for combo in product(ordered, repeat=len(free)):
+            states = dict(zip(free, combo))
+            states[part[0]] = root
+            states[part[1]] = ctx.state
+            class_states = tuple(states[c] for c in range(n))
+            for v in range(1 << len(keys)):
+                yield WitnessDescriptor(
+                    partition=part, class_states=class_states,
+                    atom_values=tuple((name, ct, bool(v >> j & 1))
+                                      for j, (name, ct) in enumerate(keys)),
+                    padding_count=k - n)
+
+
+def candidate_count(ctx):
+    s = ctx.sentence
+    k = len(s.prefix_vars)
+    index = {v: i for i, v in enumerate(s.prefix_vars)}
+    total = 0
+    for part in naive_partitions(k):
+        keys = {(a.name, tuple(part[index[v]] for v in a.args))
+                for a in atoms_of(s.matrix)}
+        free = len(set(part) - set(part[:2]))
+        total += len(ctx.allowed) ** free << len(keys)
+    return total
+
+
+def test_search_matches_naive_reference(monkeypatch):
+    # the solver's own contexts, both kinds; the naive reference checks
+    # each candidate with check_descriptor alone
+    checked = {OneType: 0, ExtendedType: 0}
+    for s in plan_sentences():
+        plain, ext = solver_contexts(s, monkeypatch)
+        for ctx in plain[:3] + ext[:3] + ext[-2:]:
+            if candidate_count(ctx) > 1000:
+                continue
+            want = [d for d in naive_candidates(ctx)
+                    if check_descriptor(d, ctx) == []]
+            assert enumerate_witnesses(ctx) == want
+            assert find_witness(ctx) == (want[0] if want else None)
+            checked[type(ctx.state)] += 1
+    assert checked[OneType] > 300 and checked[ExtendedType] > 300, checked
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_chunked_tables_match_one_table(monkeypatch, bits):
+    # tables split into 2**bits-bit chunks give the same descriptors
+    cases = []
+    for s in plan_sentences()[:120]:
+        plain, ext = solver_contexts(s, monkeypatch)
+        cases += [(s, ctx) for ctx in plain[:4] + ext[:4]]
+    default = [enumerate_witnesses(ctx, plan=SearchPlan(s)) for s, ctx in cases]
+    monkeypatch.setattr(structures, "_CHUNK_BITS", bits)
+    plans = {}
+    for (s, ctx), want in zip(cases, default):
+        plan = plans.setdefault(s, SearchPlan(s))
+        assert enumerate_witnesses(ctx, plan=plan) == want
+        assert find_witness(ctx, plan) == (want[0] if want else None)
+    widths = [t.bit_length() for plan in plans.values()
+              for pt in plan.partitions for t in pt._table.values()]
+    assert widths and max(widths) <= 1 << bits
+
+
+def test_wide_tables_stay_chunked():
+    # 27 atom keys: 2**13 chunks of 2**14 valuations, never one table
+    s = load_sentence(fixture_path("wide/s9_wide_t3.fo"))
+    plan = SearchPlan(s)
+    neg = OneType((False,))
+    ctx = WitnessContext(s, neg, neg, frozenset(enumerate_one_types(s.signature)))
+    assert find_witness(ctx, plan) is None
+    widest = plan.partitions[0]
+    assert len(widest.keys) == 27 and widest.bits == structures._CHUNK_BITS
+    # only the all-true valuation satisfies the conjunction
+    assert {c: t for c, t in widest._table.items() if t} \
+        == {(1 << 13) - 1: 1 << (1 << 14) - 1}
+
+
+def test_wide_tables_evaluate_chunks_on_demand():
+    # the disjunction of the same 27 atoms holds on the first valuation of
+    # the first chunk, so no other chunk is evaluated
+    with open(fixture_path("wide/s9_wide_t3.fo"), encoding="utf-8") as fh:
+        s = parse(fh.read().replace(" & ", " | "))
+    plan = SearchPlan(s)
+    neg = OneType((False,))
+    ctx = WitnessContext(s, neg, neg, frozenset(enumerate_one_types(s.signature)))
+    d = find_witness(ctx, plan)
+    assert d is not None and d == find_witness(ctx)
+    assert list(plan.partitions[0]._table) == [0]
