@@ -16,23 +16,13 @@ actually be glued into a model.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .onetypes import OneType, render_one_type, type_of_element
-from .syntax import (
-    And,
-    Eq,
-    Iff,
-    Imp,
-    Not,
-    Or,
-    Rel,
-    Signature,
-    equalities_of,
-    eval_matrix,
-)
+from .syntax import Signature, equalities_of, eval_matrix
 
 
 class UnboundVariableError(Exception):
@@ -110,49 +100,33 @@ class ConstructionConflict:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+class _Extent(dict):
+    """The tuples of one relation, each mapped to 1; any other reads 0."""
+
+    def __missing__(self, tup):
+        return 0
+
+
+def _point_extents(structure):
+    """The structure as a one-valuation table; a relation outside its
+    signature is false."""
+    return defaultdict(_Extent, {name: _Extent.fromkeys(ts, 1)
+                                 for name, ts in structure.extents.items()})
+
+
 def eval_qf(structure, assignment, matrix):
     """Standard quantifier-free semantics; equality is element identity."""
-    extents = structure.extents
-
-    def rel_value(a):
-        try:
-            tup = tuple(assignment[v] for v in a.args)
-        except KeyError as e:
-            raise UnboundVariableError(f"unbound variable {e.args[0]!r}") from None
-        return tup in extents.get(a.name, frozenset())
-
-    def eq_value(u, v):
-        try:
-            return assignment[u] == assignment[v]
-        except KeyError as e:
-            raise UnboundVariableError(f"unbound variable {e.args[0]!r}") from None
-
-    return bool(eval_matrix(matrix, rel_value, eq_value))
+    try:
+        return bool(eval_matrix(matrix, _point_extents(structure), assignment))
+    except KeyError as e:
+        raise UnboundVariableError(f"unbound variable {e.args[0]!r}") from None
 
 
 def eval_sentence(structure, sentence):
     """Finite semantics of the full sentence, with early exits."""
     if structure.size == 0:
         raise EmptyUniverseError("sentences have no truth value over an empty universe")
-    rng = range(structure.size)
-    matrix = sentence.matrix
-    ys = sentence.ys
-    for zv in rng:
-        ok_all_x = True
-        for xv in rng:
-            assignment = {sentence.z: zv, sentence.x: xv}
-            found = False
-            for ytuple in product(rng, repeat=len(ys)):
-                assignment.update(zip(ys, ytuple))
-                if eval_qf(structure, assignment, matrix):
-                    found = True
-                    break
-            if not found:
-                ok_all_x = False
-                break
-        if ok_all_x:
-            return True
-    return False
+    return bool(_models(sentence, 1, _point_extents(structure), structure.size))
 
 
 def eval_sentence_naive(structure, sentence):
@@ -215,44 +189,6 @@ def descriptor_to_structure(d, sentence):
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _compile_matrix(sentence):
-    """Translate the matrix into a bitwise Python lambda for the hot loop.
-
-    The function takes ALL (the bitset of every structure in a chunk),
-    one dict per relation (in signature order) from element tuple to the
-    bitset of structures where that tuple holds, then one element per
-    prefix variable (in prefix order), and returns the bitset of
-    structures where the matrix holds.  One call evaluates the matrix on
-    every structure of a chunk at once, one bit per structure.
-    """
-    def expr(node):
-        if isinstance(node, Rel):
-            args = ", ".join(f"v_{a}" for a in node.args)
-            comma = "," if len(node.args) == 1 else ""
-            return f"(ext_{node.name}[{args}{comma}])"
-        if isinstance(node, Eq):
-            return f"(ALL if v_{node.left} == v_{node.right} else 0)"
-        if isinstance(node, Not):
-            return f"(ALL ^ {expr(node.sub)})"
-        if isinstance(node, And):
-            return f"({expr(node.left)} & {expr(node.right)})"
-        if isinstance(node, Or):
-            return f"({expr(node.left)} | {expr(node.right)})"
-        if isinstance(node, Imp):
-            return f"((ALL ^ {expr(node.left)}) | {expr(node.right)})"
-        if isinstance(node, Iff):
-            return f"({expr(node.left)} ^ {expr(node.right)} ^ ALL)"
-        raise TypeError(f"unknown matrix node {node!r}")
-
-    params = ["ALL"] + [f"ext_{name}" for name, _ in sentence.signature]
-    params += [f"v_{v}" for v in sentence.prefix_vars]
-    source = f"lambda {', '.join(params)}: {expr(sentence.matrix)}"
-    try:
-        return eval(source, {})
-    except SyntaxError:  # CPython caps nested parentheses at 200 levels
-        raise RecursionError("matrix nested too deeply") from None
-
-
 _CHUNK_BITS = 14  # up to 2**14 structures (or valuations) per evaluation
 
 
@@ -264,17 +200,35 @@ def slot_patterns(bits):
     return full, tuple(full ^ full // ((1 << (1 << j)) + 1) for j in range(bits))
 
 
-def _models(fn, full, exts, size, n_ys):
-    """Bitset of the chunk's structures that satisfy the sentence."""
+def chunk_extents(slots, bits, chunk):
+    """The extents of one chunk of a table over `slots`, the (relation,
+    tuple) per bit position: slot j < bits holds on the entries whose
+    bit j is set, a higher slot on all of them if bit j - bits of
+    `chunk` is set, else on none."""
+    full, inner = slot_patterns(bits)
+    ext = {}
+    for j, (name, tup) in enumerate(slots):
+        ext.setdefault(name, {})[tup] = (
+            inner[j] if j < bits else full if chunk >> j - bits & 1 else 0)
+    return ext
+
+
+def _models(sentence, full, ext, size):
+    """Bitset of the table's structures that satisfy the sentence."""
+    matrix, z, x, ys = sentence.matrix, sentence.z, sentence.x, sentence.ys
     rng = range(size)
-    y_tuples = list(product(rng, repeat=n_ys))
+    y_tuples = list(product(rng, repeat=len(ys)))
+    env = {}
     found = 0
     for zv in rng:
+        env[z] = zv
         alive = full ^ found  # not yet known to be models
         for xv in rng:
+            env[x] = xv
             need = alive  # still without a witness for this x
             for yt in y_tuples:
-                need &= ~fn(full, *exts, zv, xv, *yt)
+                env.update(zip(ys, yt))
+                need &= ~eval_matrix(matrix, ext, env, full)
                 if not need:
                     break
             alive ^= need
@@ -302,8 +256,6 @@ def brute_force_search(sentence, max_size, budget=10**7):
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     sig = sentence.signature
-    fn = _compile_matrix(sentence)
-    n_ys = len(sentence.ys)
     count = 0  # structures before the current chunk
     for k in range(1, max_size + 1):
         slots = []  # (relation name, tuple) per bit position
@@ -312,15 +264,9 @@ def brute_force_search(sentence, max_size, budget=10**7):
                 slots.append((name, tup))
         bits = min(len(slots), _CHUNK_BITS)
         width = 1 << bits
-        # slot j < bits holds on the structures whose bit j is set
-        full, inner = slot_patterns(bits)
+        full = slot_patterns(bits)[0]
         for chunk in range(1 << (len(slots) - bits)):
-            exts = {name: {} for name, _ in sig}
-            for j, (name, tup) in enumerate(slots):
-                exts[name][tup] = (inner[j] if j < bits else
-                                   full if chunk >> (j - bits) & 1 else 0)
-            found = _models(fn, full, [exts[name] for name, _ in sig],
-                            k, n_ys)
+            found = _models(sentence, full, chunk_extents(slots, bits, chunk), k)
             if found:
                 first = (found & -found).bit_length() - 1
                 if count + first >= budget:

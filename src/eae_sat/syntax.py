@@ -436,36 +436,36 @@ def format_sentence(s):
 # Matrix semantics over a table of atom valuations
 # ---------------------------------------------------------------------------
 
-def eval_matrix(node, rel_value, eq_value, full=1):
+def eval_matrix(node, ext, env, full=1):
     """Bitwise evaluation of a matrix on a table of valuations at once.
 
     Bit i of a value says whether it holds on valuation i, and `full`
-    has one bit per valuation.  `rel_value(atom)` gives the valuations
-    on which a relation atom holds; `eq_value(u, v)` says whether u and
-    v are equal, which is the same on every valuation.  The result is
-    the set of valuations that satisfy the matrix.  With the default
-    `full=1` a table holds one valuation, and `rel_value` may return a
-    bool.
+    has one bit per valuation.  `env[var]` is an element, and
+    `ext[name][element tuple]` the valuations on which that tuple holds;
+    u = v holds on every valuation if env[u] == env[v], else on none.
+    The result is the set of valuations that satisfy the matrix.  With
+    the default `full=1` a table holds one valuation, and an extent may
+    map a tuple to a bool.
     """
     if isinstance(node, Rel):
-        return rel_value(node)
+        return ext[node.name][tuple(map(env.__getitem__, node.args))]
     if isinstance(node, Eq):
-        return full if eq_value(node.left, node.right) else 0
+        return full if env[node.left] == env[node.right] else 0
     if isinstance(node, Not):
-        return full ^ eval_matrix(node.sub, rel_value, eq_value, full)
-    a = eval_matrix(node.left, rel_value, eq_value, full)
+        return full ^ eval_matrix(node.sub, ext, env, full)
+    a = eval_matrix(node.left, ext, env, full)
     if isinstance(node, And):
-        return a and a & eval_matrix(node.right, rel_value, eq_value, full)
+        return a and a & eval_matrix(node.right, ext, env, full)
     if isinstance(node, Or):
         if a == full:
             return a
-        return a | eval_matrix(node.right, rel_value, eq_value, full)
+        return a | eval_matrix(node.right, ext, env, full)
     if isinstance(node, Imp):
         if not a:
             return full
-        return (full ^ a) | eval_matrix(node.right, rel_value, eq_value, full)
+        return (full ^ a) | eval_matrix(node.right, ext, env, full)
     if isinstance(node, Iff):
-        return a ^ eval_matrix(node.right, rel_value, eq_value, full) ^ full
+        return a ^ eval_matrix(node.right, ext, env, full) ^ full
     raise TypeError(f"not a matrix node: {node!r}")
 
 

@@ -109,32 +109,23 @@ class _Partition:
         self.nclasses = max(part) + 1
         self.free_classes = tuple(
             c for c in range(self.nclasses) if c not in (self.cz, self.cx))
-        var_index = plan.var_index
-        atom_keys = [(a.name, tuple(part[var_index[v]] for v in a.args))
-                     for a in plan.atoms]
-        self.keys = sorted(set(atom_keys))
-        slot_of_key = {key: slot for slot, key in enumerate(self.keys)}
-        slots = [slot_of_key[key] for key in atom_keys]
-        self.bits = bits = min(len(self.keys), structures._CHUNK_BITS)
-        self.full, self._inner = full, inner = structures.slot_patterns(bits)
-        sentence, atoms = plan.sentence, plan.atoms
-
-        def eq_value(u, v):
-            return part[var_index[u]] == part[var_index[v]]
-
-        def evaluate(chunk):
-            value = dict(zip(atoms, [
-                inner[j] if j < bits else full if chunk >> j - bits & 1 else 0
-                for j in slots]))
-            return eval_matrix(sentence.matrix, value.__getitem__, eq_value, full)
-
-        self._evaluate, self._sig = evaluate, sentence.signature
-        self._top = (1 << len(self.keys) - bits) - 1  # the last chunk
+        sentence = plan.sentence
+        self._env = env = dict(zip(sentence.prefix_vars, part))
+        self.keys = sorted({(a.name, tuple(env[v] for v in a.args))
+                            for a in plan.atoms})
+        self.bits = min(len(self.keys), structures._CHUNK_BITS)
+        self.full, self._inner = structures.slot_patterns(self.bits)
+        self._matrix, self._sig = sentence.matrix, sentence.signature
+        self._top = (1 << len(self.keys) - self.bits) - 1  # the last chunk
         self._table = {}  # chunk -> its satisfying valuations
         self._nonzero = None  # once every chunk is known, those with some
         self._rules = {}  # state kind -> per class: [(slot, state bit)]
         self._masks = {}  # (class, state) -> constraint
         self._levels = {}  # allowed state set -> levels()
+
+    def _evaluate(self, chunk):
+        ext = structures.chunk_extents(self.keys, self.bits, chunk)
+        return eval_matrix(self._matrix, ext, self._env, self.full)
 
     def hits(self, constraint):
         """(chunk, bitset) for each chunk in which the constraint allows a
@@ -213,7 +204,6 @@ class SearchPlan:
     def __init__(self, sentence):
         self.sentence = sentence
         self.atoms = atoms_of(sentence.matrix)
-        self.var_index = {v: i for i, v in enumerate(sentence.prefix_vars)}
         self._ordered = {}  # allowed state set -> its members in canonical order
         self._roots = {}  # (state kind, pi0) -> the z-class state
 
@@ -345,7 +335,6 @@ def check_descriptor(d, ctx):
     violations = []
     vars_ = sentence.prefix_vars
     k = len(vars_)
-    var_index = {v: i for i, v in enumerate(vars_)}
 
     if len(d.partition) != k:
         violations.append(f"P0: partition covers {len(d.partition)} variables, expected {k}")
@@ -368,11 +357,11 @@ def check_descriptor(d, ctx):
     if d.padding_count < 0:
         violations.append("P1: negative padding_count")
 
+    env = dict(zip(vars_, d.partition))  # variable -> class
     cz, cx = d.partition[0], d.partition[1]
-    expected_keys = sorted({
-        (a.name, tuple(d.partition[var_index[arg]] for arg in a.args))
-        for a in atoms_of(sentence.matrix)})
-    values = {}
+    expected_keys = sorted({(a.name, tuple(env[arg] for arg in a.args))
+                            for a in atoms_of(sentence.matrix)})
+    ext = {}  # relation -> class tuple -> value
     seen = set()
     for name, ctuple, v in d.atom_values:
         if name == "=":
@@ -381,7 +370,7 @@ def check_descriptor(d, ctx):
         if (name, ctuple) in seen:
             violations.append(f"C3: duplicate key ({name}, {ctuple})")
         seen.add((name, ctuple))
-        values[(name, ctuple)] = v
+        ext.setdefault(name, {})[ctuple] = v
     if sorted(seen) != expected_keys:
         violations.append(
             f"P2: atom keys {sorted(seen)} do not match the matrix keys "
@@ -393,7 +382,7 @@ def check_descriptor(d, ctx):
         if hit is None:
             continue
         c, b = hit
-        got, want = values[(name, ctuple)], d.class_states[c].bits[b]
+        got, want = ext[name][ctuple], d.class_states[c].bits[b]
         if got == want:
             continue
         if len(set(ctuple)) == 1:
@@ -410,13 +399,7 @@ def check_descriptor(d, ctx):
     if d.class_states[cx] != ctx.state:
         violations.append("C4: x-class type differs from pi")
 
-    def rel_value(a):
-        return values[(a.name, tuple(d.partition[var_index[arg]] for arg in a.args))]
-
-    def eq_value(u, v):
-        return d.partition[var_index[u]] == d.partition[var_index[v]]
-
-    if not eval_matrix(sentence.matrix, rel_value, eq_value):
+    if not eval_matrix(sentence.matrix, ext, env):
         violations.append("C5: matrix is not satisfied by the induced valuation")
 
     extra = realized_states(d) - ctx.allowed

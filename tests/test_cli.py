@@ -363,18 +363,17 @@ def negation_chain(tmp_path, n):
 @pytest.mark.parametrize("argv,conjuncts", [
     (("check",), 1200), (("check", "--method", "extended"), 1200),
     (("parse",), 1200), (("model",), 1200),
-    (("brute",), 250), (("diff",), 250)])
+    (("brute",), 1200), (("diff",), 1200)])
 def test_deeply_nested_matrix(tmp_path, argv, conjuncts):
     # the parser builds a left-deep tree; matrices past the recursion
-    # limit, or past CPython's 200 nested parentheses in the oracle's
-    # compiled matrix, are a resource limit, not a crash
+    # limit are a resource limit, not a crash
     code, out, err = run(argv[0], flat_conjunction(tmp_path, conjuncts), *argv[1:])
     assert (code, out, err) == (1, "", "error: matrix nested too deeply\n")
     code, out, err = run(argv[0], flat_conjunction(tmp_path, 150), *argv[1:])
     assert code in (0, 10) and out and err == ""
     if argv[0] in ("brute", "diff"):
-        # every `~` adds one level to the compiled matrix, as before
-        code, out, err = run(argv[0], negation_chain(tmp_path, 199), *argv[1:])
+        # every `~` adds one parser and one evaluator level
+        code, out, err = run(argv[0], negation_chain(tmp_path, 1200), *argv[1:])
         assert (code, out, err) == (1, "", "error: matrix nested too deeply\n")
-        code, out, err = run(argv[0], negation_chain(tmp_path, 150), *argv[1:])
+        code, out, err = run(argv[0], negation_chain(tmp_path, 199), *argv[1:])
         assert code in (0, 10) and out and err == ""

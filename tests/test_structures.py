@@ -64,6 +64,20 @@ def test_eval_qf_unbound_variable(s3):
         eval_qf(st, {"x": 0}, s3.matrix)
 
 
+def test_eval_qf_relation_outside_signature(s1, s2):
+    # a relation the structure does not interpret is false, and only an
+    # unbound variable is an error
+    st = struct(Signature(()), 1)
+    assert not eval_qf(st, {"x": 0, "z": 0}, parse(
+        "exists z. forall x. exists y. (P(x) | P(z))").matrix)
+    assert eval_qf(st, {"x": 0, "z": 0}, s2.matrix.right)
+    with pytest.raises(UnboundVariableError, match="'y'"):
+        eval_qf(st, {"x": 0}, s1.matrix)
+    with pytest.raises(UnboundVariableError, match="'y'"):
+        eval_qf(st, {"x": 0}, parse(
+            "exists z. forall x. exists y. (P(x) | P(y))").matrix)
+
+
 def test_eval_sentence_fixtures(s1, s2, s3):
     assert eval_sentence(struct(Signature(()), 1), s1)
     assert eval_sentence(struct(SIG_E, 2, E=[(0, 1), (1, 0)]), s3)
@@ -100,6 +114,22 @@ def test_eval_consistency_with_naive():
             if holds and first is None:
                 first = st
         assert brute_force_search(s, 2) == first
+
+
+def test_oracle_and_eval_sentence_use_eval_matrix(monkeypatch, s3):
+    # one matrix evaluator: the oracle and eval_sentence both go through it
+    calls = []
+    eval_matrix = structures.eval_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return eval_matrix(*args)
+
+    monkeypatch.setattr(structures, "eval_matrix", counted)
+    model = brute_force_search(s3, 2)
+    assert model is not None and calls
+    del calls[:]
+    assert eval_sentence(model, s3) and calls
 
 
 # ---------------------------------------------------------------------------

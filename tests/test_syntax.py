@@ -4,10 +4,15 @@ from eae_sat.syntax import (
     And,
     Eq,
     FragmentError,
+    Iff,
+    Imp,
     Not,
+    Or,
     ParseError,
     Rel,
     Signature,
+    atoms_of,
+    eval_matrix,
     extract_signature,
     format_matrix,
     format_sentence,
@@ -156,3 +161,42 @@ def test_signature_index():
         sig.index("Q")
     # the lookup table is not part of the value
     assert sig == fresh and hash(sig) == hash(fresh) and repr(sig) == repr(fresh)
+
+
+def holds(node, value, env):
+    """Pointwise reference semantics over bools, without early exits."""
+    if isinstance(node, Rel):
+        return value[node.name, tuple(env[v] for v in node.args)]
+    if isinstance(node, Eq):
+        return env[node.left] == env[node.right]
+    if isinstance(node, Not):
+        return not holds(node.sub, value, env)
+    a, b = holds(node.left, value, env), holds(node.right, value, env)
+    return {And: a and b, Or: a or b, Imp: not a or b, Iff: a == b}[type(node)]
+
+
+def test_eval_matrix_matches_pointwise_semantics():
+    for s in corpus.corpus(size=300):
+        variables = s.prefix_vars
+        # all elements distinct, then all merged: equalities go both ways
+        for env in ({v: i for i, v in enumerate(variables)},
+                    dict.fromkeys(variables, 0)):
+            keys = sorted({(a.name, tuple(env[v] for v in a.args))
+                           for a in atoms_of(s.matrix)})
+            rows = range(1 << len(keys))  # valuation i: key j is bit j of i
+            full = (1 << len(rows)) - 1
+            ext = {}
+            for j, (name, tup) in enumerate(keys):
+                ext.setdefault(name, {})[tup] = sum(
+                    1 << i for i in rows if i >> j & 1)
+            expected = 0
+            for i in rows:
+                value = {key: bool(i >> j & 1) for j, key in enumerate(keys)}
+                truth = holds(s.matrix, value, env)
+                expected |= truth << i
+                # one valuation at a time, as the certificate checker does
+                one = {}
+                for key, v in value.items():
+                    one.setdefault(key[0], {})[key[1]] = v
+                assert bool(eval_matrix(s.matrix, one, env)) == truth
+            assert eval_matrix(s.matrix, ext, env, full) == expected
