@@ -133,7 +133,8 @@ def cmd_model(sentence, args, out):
 
 
 def cmd_diff(sentence, args, out):
-    # one memo: game and extended's plain certificate reuse gfp's searches
+    # one memo: game, and extended's plain eliminations and certificate,
+    # reuse gfp's searches
     memo = solver.Memo(sentence)
     verdicts = {}
     for method in solver.METHODS:

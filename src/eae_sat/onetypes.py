@@ -39,6 +39,14 @@ class ArityCapExceeded(Exception):
 class OneType:
     bits: tuple[bool, ...]
 
+    def __post_init__(self):
+        # not a field, so == and repr see only `bits`; memo keys and
+        # allowed sets hash 1-types often
+        object.__setattr__(self, "_hash", hash((self.bits,)))
+
+    def __hash__(self):
+        return self._hash
+
     def bit(self, i):
         return self.bits[i]
 

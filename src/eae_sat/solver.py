@@ -13,7 +13,8 @@ one accepted.  The methods differ only in their states:
   bound, Acc(., 0) is exactly the gfp survivor set.
 * ``extended_solve`` — z-relative extended types, a strictly more
   conservative state space that also tracks the current element's
-  relations to the fixed z-element.
+  relations to the fixed z-element.  The plain survivors for the same
+  pi0 bound its states (see ``extended_solve``).
 
 SAT results from gfp and extended carry a positional-strategy
 certificate that an independent checker can validate; UNSAT results
@@ -33,7 +34,13 @@ from .onetypes import (
     enumerate_extended_types,
     enumerate_one_types,
 )
-from .witness import SearchPlan, WitnessContext, check_descriptor, find_witness
+from .witness import (
+    CheckFrames,
+    SearchPlan,
+    WitnessContext,
+    check_descriptor,
+    find_witness,
+)
 
 DEFAULT_GAME_DEPTH_BUDGET = 1025  # covers |sigma| <= 10
 
@@ -170,20 +177,19 @@ def _certificate(pi0, good, memo):
         (pi, memo.find(pi0, pi, allowed)) for pi in good))
 
 
-def _decide(method, all_types, memo, states_of, certify=None):
+def _decide(method, all_types, memo, eliminate, certify=None):
     """Try each starting type pi0 in canonical order; stop at the first accepted.
 
-    `states_of(pi0)` gives (states, root): pi0 is accepted iff `root`
-    survives elimination over `states`.  `certify(pi0, surviving)`, when
-    given, builds the certificate of the accepted candidate.
+    `eliminate(pi0)` gives (trace, root): pi0 is accepted iff `root`
+    survives in `trace`.  `certify(pi0, surviving)`, when given, builds
+    the certificate of the accepted candidate.
     """
     t0 = time.perf_counter()
     memo.begin()
     stats = SolveStats(types_total=len(all_types))
     traces = []
     for pi0 in all_types:
-        states, root = states_of(pi0)
-        trace = _eliminate(pi0, states, memo)
+        trace, root = eliminate(pi0)
         traces.append(trace)
         if root in trace.surviving:
             cert = certify(pi0, trace.surviving) if certify else None
@@ -212,7 +218,8 @@ def gfp_solve(sentence, record_contexts=None, memo=None):
     """
     all_types = enumerate_one_types(sentence.signature)
     memo = memo or Memo(sentence, record=record_contexts)
-    return _decide("gfp", all_types, memo, lambda pi0: (all_types, pi0),
+    return _decide("gfp", all_types, memo,
+                   lambda pi0: (_eliminate(pi0, all_types, memo), pi0),
                    lambda pi0, good: _certificate(pi0, good, memo))
 
 
@@ -232,35 +239,49 @@ def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET,
     depth = len(all_types) + 1  # 2^{|sigma|} + 1
     if depth > depth_budget:
         raise GameDepthExceeded(depth, depth_budget)
-    return _decide("game", all_types, memo or Memo(sentence),
-                   lambda pi0: (all_types, pi0))
+    memo = memo or Memo(sentence)
+    return _decide("game", all_types, memo,
+                   lambda pi0: (_eliminate(pi0, all_types, memo), pi0))
 
 
 def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
-    """Type elimination over z-relative extended states.
+    """Type elimination over z-relative extended states, bounded by the
+    plain elimination.
 
-    SAT results carry a plain certificate for the same starting type:
-    an extended strategy always shadows a plain one, so the plain
-    fixpoint for that candidate must succeed (asserted, not assumed).
+    Map each class state of an extended witness to its own type: the
+    result is a plain witness for the state's own type among the own
+    types of the survivors (diagonal keys read the all-current-element
+    pattern or the root's pi0 bits, only the root may merge z and x, and
+    the root survives whenever anything does).  So the own types of the
+    extended survivors form a plain post-fixpoint, which lies inside the
+    plain survivors for the same pi0.  Each candidate therefore runs the
+    plain elimination first.  If it rejects pi0, so does the extended
+    one, and the candidate's refutation entry is that plain trace.
+    Otherwise the extended elimination starts from the extended states
+    whose own type survived, and reaches the same survivors as it would
+    from all of them.  `witness_searches` counts both kinds of search.
+
+    SAT results carry the plain certificate over the plain survivors
+    just computed for the same starting type.
     """
     sig = sentence.signature
     check_arity_cap(sig, arity_cap)
     all_types = enumerate_one_types(sig)
     memo = memo or Memo(sentence)
+    plain = {}  # pi0 -> its plain survivors, in canonical order
 
-    def states_of(pi0):
-        return (enumerate_extended_types(sig, pi0, cap=arity_cap),
-                ExtendedType.root(sig, pi0))
+    def eliminate(pi0):
+        trace = _eliminate(pi0, all_types, memo)
+        if pi0 not in trace.surviving:
+            return trace, pi0
+        plain[pi0] = trace.surviving
+        good = set(trace.surviving)
+        states = [s for s in enumerate_extended_types(sig, pi0, cap=arity_cap)
+                  if s.own_type() in good]
+        return _eliminate(pi0, states, memo), ExtendedType.root(sig, pi0)
 
-    def certify(pi0, _):
-        good = _eliminate(pi0, all_types, memo).surviving
-        if pi0 not in good:
-            raise InternalInvariantError(
-                "extended fixpoint accepted a starting type the plain "
-                "fixpoint rejects")
-        return _certificate(pi0, good, memo)
-
-    return _decide("extended", all_types, memo, states_of, certify)
+    return _decide("extended", all_types, memo, eliminate,
+                   lambda pi0, _: _certificate(pi0, plain[pi0], memo))
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +293,19 @@ def check_certificate(sentence, cert):
 
     Re-runs the descriptor checker per strategy entry with the strategy's
     own key set as the allowed types (which includes closure: every
-    realized type must be a key).  Returns the full violation list; empty
-    means the certificate is sound.
+    realized type must be a key).  The entries share one CheckFrames, so
+    each partition's keys and forced bits are settled once.  Returns the
+    full violation list; empty means the certificate is sound.
     """
     violations = []
     keys = cert.good_types
+    frames = CheckFrames(sentence)
     if cert.pi0 not in keys:
         violations.append("pi0 is not covered by the strategy")
     for pi, d in cert.strategy:
         ctx = WitnessContext(sentence=sentence, pi0=cert.pi0, state=pi,
                              allowed=keys)
-        for v in check_descriptor(d, ctx):
+        for v in check_descriptor(d, ctx, frames):
             violations.append(f"entry {pi.bits}: {v}")
     return violations
 

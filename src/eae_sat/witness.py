@@ -323,18 +323,57 @@ def enumerate_witnesses(ctx, budget=10**6, plan=None):
 # Independent descriptor checking
 # ---------------------------------------------------------------------------
 
-def check_descriptor(d, ctx):
+class CheckFrames:
+    """What checking one sentence's descriptors settles once, built apart
+    from the search's SearchPlan: per (partition, state kind) the
+    variable-to-class map, the matrix's atom keys and the (class, bit)
+    each forced key reads; per (state kind, pi0) the root.
+    """
+
+    def __init__(self, sentence):
+        self.sentence = sentence
+        self.atoms = atoms_of(sentence.matrix)
+        self._frames = {}  # (partition, kind) -> (env, keys, key set, forced)
+        self._roots = {}  # (kind, pi0) -> the z-class state
+
+    def frame(self, partition, kind):
+        """(env, keys, key set, forced) for a well-formed partition:
+        `keys` sorted, `forced` one (name, ctuple, class, bit, diagonal)
+        per key a class state of `kind` fixes, in key order."""
+        out = self._frames.get((partition, kind))
+        if out is None:
+            sig = self.sentence.signature
+            env = dict(zip(self.sentence.prefix_vars, partition))
+            keys = sorted({(a.name, tuple(env[arg] for arg in a.args))
+                           for a in self.atoms})
+            forced = []
+            for name, ctuple in keys:
+                hit = _forced_bit(sig, name, ctuple, partition[0], kind)
+                if hit is not None:
+                    forced.append((name, ctuple, *hit, len(set(ctuple)) == 1))
+            out = self._frames[partition, kind] = (env, keys, set(keys), forced)
+        return out
+
+    def root(self, kind, pi0):
+        out = self._roots.get((kind, pi0))
+        if out is None:
+            out = self._roots[kind, pi0] = kind.root(self.sentence.signature, pi0)
+        return out
+
+
+def check_descriptor(d, ctx, frames=None):
     """All violations of the descriptor invariants; empty list means valid.
 
     Each key a class state forces is checked once: as C2 if it is
-    diagonal, as C7 if only an extended type fixes it.
+    diagonal, as C7 if only an extended type fixes it.  `frames`, the
+    CheckFrames of the context's sentence, lets the descriptors of one
+    certificate share that work; without it, fresh frames are built.
     """
+    frames = frames or CheckFrames(ctx.sentence)
     sentence = ctx.sentence
-    sig = sentence.signature
     kind = type(ctx.state)
     violations = []
-    vars_ = sentence.prefix_vars
-    k = len(vars_)
+    k = len(sentence.prefix_vars)
 
     if len(d.partition) != k:
         violations.append(f"P0: partition covers {len(d.partition)} variables, expected {k}")
@@ -357,10 +396,8 @@ def check_descriptor(d, ctx):
     if d.padding_count < 0:
         violations.append("P1: negative padding_count")
 
-    env = dict(zip(vars_, d.partition))  # variable -> class
+    env, expected_keys, key_set, forced = frames.frame(d.partition, kind)
     cz, cx = d.partition[0], d.partition[1]
-    expected_keys = sorted({(a.name, tuple(env[arg] for arg in a.args))
-                            for a in atoms_of(sentence.matrix)})
     ext = {}  # relation -> class tuple -> value
     seen = set()
     for name, ctuple, v in d.atom_values:
@@ -371,21 +408,17 @@ def check_descriptor(d, ctx):
             violations.append(f"C3: duplicate key ({name}, {ctuple})")
         seen.add((name, ctuple))
         ext.setdefault(name, {})[ctuple] = v
-    if sorted(seen) != expected_keys:
+    if seen != key_set:
         violations.append(
             f"P2: atom keys {sorted(seen)} do not match the matrix keys "
             f"{expected_keys}")
         return violations
 
-    for name, ctuple in expected_keys:
-        hit = _forced_bit(sig, name, ctuple, cz, kind)
-        if hit is None:
-            continue
-        c, b = hit
+    for name, ctuple, c, b, diagonal in forced:
         got, want = ext[name][ctuple], d.class_states[c].bits[b]
         if got == want:
             continue
-        if len(set(ctuple)) == 1:
+        if diagonal:
             violations.append(
                 f"C2: diagonal atom ({name}, {ctuple}) valued "
                 f"{got}, class type dictates {want}")
@@ -394,7 +427,7 @@ def check_descriptor(d, ctx):
                 f"C7: atom ({name}, {ctuple}) valued {got}, "
                 f"extended type dictates {want}")
 
-    if d.class_states[cz] != kind.root(sig, ctx.pi0):
+    if d.class_states[cz] != frames.root(kind, ctx.pi0):
         violations.append("C4: z-class type differs from pi0")
     if d.class_states[cx] != ctx.state:
         violations.append("C4: x-class type differs from pi")

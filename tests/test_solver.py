@@ -4,7 +4,12 @@ import weakref
 import pytest
 
 from eae_sat import solver
-from eae_sat.onetypes import OneType, enumerate_one_types
+from eae_sat.onetypes import (
+    ExtendedType,
+    OneType,
+    enumerate_extended_types,
+    enumerate_one_types,
+)
 from eae_sat.serialize import certificate_from_json, certificate_to_json
 from eae_sat.solver import (
     Certificate,
@@ -17,7 +22,13 @@ from eae_sat.solver import (
 )
 from eae_sat.structures import brute_force_search
 from eae_sat.syntax import load_sentence, parse
-from eae_sat.witness import WitnessDescriptor, realized_states
+from eae_sat.witness import (
+    SearchPlan,
+    WitnessContext,
+    WitnessDescriptor,
+    find_witness,
+    realized_states,
+)
 
 import corpus
 from conftest import fixture_path
@@ -234,6 +245,80 @@ def test_kinds_agree_on_unary_signatures():
             assert projected(ext.refutation) == projected(gfp.refutation)
         checked += 1
     assert checked > 300
+
+
+def _survivors(sentence, pi0, states, plan):
+    """The elimination fixpoint from `states`, apart from the solver's."""
+    good = list(states)
+    while True:
+        allowed = frozenset(good)
+        kept = [s for s in good if find_witness(
+            WitnessContext(sentence, pi0, s, allowed), plan) is not None]
+        if kept == good:
+            return good
+        good = kept
+
+
+def _tried(out, sig):
+    """The candidates a solve tried: all of them, or up to the accepted one."""
+    types = enumerate_one_types(sig)
+    return types[:types.index(out.pi0) + 1] if out.pi0 is not None else types
+
+
+def test_plain_survivors_bound_the_extended_elimination(monkeypatch):
+    # extended_solve starts each extended elimination from the states
+    # whose own type survived the plain one; from all extended states the
+    # fixpoint is the same, and a pi0 the plain elimination rejects loses
+    # its extended root too
+    runs = {}  # pi0 -> survivors of extended_solve's extended elimination
+    eliminate = solver._eliminate
+
+    def spy(pi0, states, memo):
+        trace = eliminate(pi0, states, memo)
+        if states and isinstance(states[0], ExtendedType):
+            runs[pi0] = trace.surviving
+        return trace
+
+    monkeypatch.setattr(solver, "_eliminate", spy)
+    bounded = rejected = 0
+    for seed in (7, 8):
+        for s in corpus.corpus(size=300, seed=seed):
+            runs.clear()
+            out = extended_solve(s)
+            plan = SearchPlan(s)
+            sig = s.signature
+            tried = _tried(out, sig)
+            for pi0 in enumerate_one_types(sig):
+                plain = _survivors(s, pi0, enumerate_one_types(sig), plan)
+                full = _survivors(s, pi0, enumerate_extended_types(sig, pi0),
+                                  plan)
+                assert {e.own_type() for e in full} <= set(plain), (s, pi0)
+                if pi0 not in plain:
+                    assert ExtendedType.root(sig, pi0) not in full, (s, pi0)
+                    assert pi0 not in runs, (s, pi0)
+                    rejected += pi0 in tried
+                elif pi0 in tried:
+                    assert runs[pi0] == full, (s, pi0)
+                    bounded += 1
+    assert bounded > 300 and rejected > 100, (bounded, rejected)
+
+
+def test_plain_rejected_candidates_enumerate_no_extended_types(monkeypatch):
+    calls = []
+    enumerate_ext = solver.enumerate_extended_types
+    monkeypatch.setattr(solver, "enumerate_extended_types",
+                        lambda sig, pi0, cap: calls.append(pi0)
+                        or enumerate_ext(sig, pi0, cap))
+    rejected = 0
+    for s in corpus.corpus(size=300, seed=7):
+        del calls[:]
+        out = extended_solve(s)
+        plan = SearchPlan(s)
+        for pi0 in _tried(out, s.signature):
+            plain = _survivors(s, pi0, enumerate_one_types(s.signature), plan)
+            assert calls.count(pi0) == (pi0 in plain), (s, pi0)
+            rejected += pi0 not in plain
+    assert rejected > 100, rejected
 
 
 def test_shared_memo_gives_each_solve_its_own_outcome(monkeypatch):
