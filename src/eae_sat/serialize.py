@@ -38,19 +38,27 @@ def descriptor_to_json(d, sentence):
     }
 
 
+def _exact(value, kind):
+    """`value` if its type is exactly `kind`: JSON true is no integer."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def descriptor_from_json(obj, sentence):
     sig = sentence.signature
-    part = tuple(obj["partition"][v] for v in sentence.prefix_vars)
+    part = tuple(_exact(obj["partition"][v], int) for v in sentence.prefix_vars)
     nclasses = max(part) + 1 if part else 0
     class_states = tuple(
         one_type_from_symbols(obj["class_types"][str(c)], sig)
         for c in range(nclasses))
     atom_values = tuple(sorted(
-        (av["rel"], tuple(av["classes"]), bool(av["value"]))
+        (av["rel"], tuple(_exact(c, int) for c in av["classes"]),
+         _exact(av["value"], bool))
         for av in obj["atom_values"]))
     return WitnessDescriptor(
         partition=part, class_states=class_states, atom_values=atom_values,
-        padding_count=int(obj["padding_count"]))
+        padding_count=_exact(obj["padding_count"], int))
 
 
 def certificate_to_json(cert, sentence):

@@ -20,12 +20,15 @@ first free class varies slowest, as in `itertools.product`), then free
 atom values by binary counting (first key in sorted order = least
 significant bit).  The search is bitwise: the first valuation of a combo
 is the lowest set bit of its partition's truth table under its masks.
+A partition is built when a search first reaches it.  A search reads
+nothing of the state under test past its start constraint, so states
+with equal start constraints share each partition's first walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import structures
 from .onetypes import OneType, _forced_bit
@@ -94,8 +97,9 @@ def _partitions(k):
 
 class _Partition:
     """One partition's atom keys, the matrix's truth table over them (a
-    chunk is evaluated when a search first reaches it), and the masks
-    that class states put on it.  Nothing in it refers back to it.
+    chunk is evaluated when a search first reaches it), the masks that
+    class states put on it, and the first walk from each start
+    constraint and allowed set.  Nothing in it refers back to it.
 
     Valuation v gives key j (sorted order) the value of bit j of v: the
     low `bits` keys vary inside a chunk and the others are fixed per
@@ -119,9 +123,11 @@ class _Partition:
         self._top = (1 << len(self.keys) - self.bits) - 1  # the last chunk
         self._table = {}  # chunk -> its satisfying valuations
         self._nonzero = None  # once every chunk is known, those with some
+        self.empty = False  # whether every chunk is known and none has any
         self._rules = {}  # state kind -> per class: [(slot, state bit)]
         self._masks = {}  # (class, state) -> constraint
         self._levels = {}  # allowed state set -> levels()
+        self._first = {}  # (start constraint, allowed) -> first _walk item
 
     def _evaluate(self, chunk):
         ext = structures.chunk_extents(self.keys, self.bits, chunk)
@@ -143,6 +149,7 @@ class _Partition:
                 t = self._table[fixed | s] = self._evaluate(fixed | s)
                 if len(self._table) > self._top:
                     self._nonzero = [c for c in sorted(self._table) if self._table[c]]
+                    self.empty = not self._nonzero
             if t & low:
                 yield fixed | s, t & low
             if s == free:
@@ -189,6 +196,16 @@ class _Partition:
                 for c in self.free_classes)
         return out
 
+    def first_walk(self, start, allowed, ordered):
+        """The first `_walk` item from `start` as a 0- or 1-tuple, shared
+        by every state under test with this start constraint."""
+        key = start, allowed
+        out = self._first.get(key)
+        if out is None:
+            item = next(_walk(self, self.levels(allowed, ordered), start, 0, ()), None)
+            out = self._first[key] = () if item is None else (item,)
+        return out
+
     def atom_values(self, v):
         return tuple((name, ctuple, bool(v >> slot & 1))
                      for slot, (name, ctuple) in enumerate(self.keys))
@@ -196,16 +213,26 @@ class _Partition:
 
 class SearchPlan:
     """What every witness search for one sentence shares, settled once:
-    the partitions some valuation satisfies, with their tables and masks,
-    the root per (kind, pi0) and the canonical order of each allowed set.
-    Searches through one plan give the descriptors fresh plans give.
+    each partition with its table, masks and first walks, built when a
+    search first reaches it; the root per (kind, pi0) and the canonical
+    order of each allowed set.  Searches through one plan give the
+    descriptors fresh plans give.
     """
 
     def __init__(self, sentence):
         self.sentence = sentence
         self.atoms = atoms_of(sentence.matrix)
+        self.parts = _partitions(len(sentence.prefix_vars))
+        self._built = {}  # index into parts -> its _Partition
         self._ordered = {}  # allowed state set -> its members in canonical order
         self._roots = {}  # (state kind, pi0) -> the z-class state
+
+    def partition(self, i):
+        """The _Partition of `parts[i]`, built when first reached."""
+        out = self._built.get(i)
+        if out is None:
+            out = self._built[i] = _Partition(self, self.parts[i])
+        return out
 
     def ordered(self, allowed):
         """The states of `allowed` in canonical order."""
@@ -222,13 +249,6 @@ class SearchPlan:
         if out is None:
             out = self._roots[kind, pi0] = kind.root(self.sentence.signature, pi0)
         return out
-
-    @cached_property
-    def partitions(self):
-        """The partitions some valuation satisfies, in canonical order."""
-        parts = (_Partition(self, part)
-                 for part in _partitions(len(self.sentence.prefix_vars)))
-        return [pt for pt in parts if next(pt.hits((pt.full, 0, 0)), None)]
 
 
 def _plan_for(ctx, plan):
@@ -269,8 +289,9 @@ def _walk(pt, levels, constraint, depth, combo):
             failed.add(mask)
 
 
-def _search(plan, ctx):
-    """Yield all valid descriptors for the context, in canonical order."""
+def _search(plan, ctx, first=False):
+    """Yield the valid descriptors for the context in canonical order:
+    all of them, or with `first` each partition's first only."""
     state, allowed = ctx.state, ctx.allowed
     root = plan.root(type(state), ctx.pi0)
     if root not in allowed or state not in allowed:
@@ -278,21 +299,28 @@ def _search(plan, ctx):
     ordered = plan.ordered(allowed)
     k = len(plan.sentence.prefix_vars)
 
-    for pt in plan.partitions:
-        cz, cx = pt.cz, pt.cx
+    for i, part in enumerate(plan.parts):
+        cz, cx = part[0], part[1]
         if cz == cx and state != root:
+            continue
+        pt = plan.partition(i)
+        if pt.empty:
             continue
         start = pt.meet(pt.mask(cz, root), pt.mask(cx, state))
         if start is None:
             continue
+        if first:
+            items = pt.first_walk(start, allowed, ordered)
+        else:
+            items = _walk(pt, pt.levels(allowed, ordered), start, 0, ())
         states = [None] * pt.nclasses
         states[cz] = root
         states[cx] = state
-        for combo, v in _walk(pt, pt.levels(allowed, ordered), start, 0, ()):
+        for combo, v in items:
             for c, s in zip(pt.free_classes, combo):
                 states[c] = s
             yield WitnessDescriptor(
-                partition=pt.part, class_states=tuple(states),
+                partition=part, class_states=tuple(states),
                 atom_values=pt.atom_values(v), padding_count=k - pt.nclasses)
 
 
@@ -302,7 +330,7 @@ def find_witness(ctx, plan=None):
     `plan` is the sentence's SearchPlan, shared across the searches of
     one solve; without one, a fresh plan is built.
     """
-    return next(_search(_plan_for(ctx, plan), ctx), None)
+    return next(_search(_plan_for(ctx, plan), ctx, first=True), None)
 
 
 def enumerate_witnesses(ctx, budget=10**6, plan=None):
@@ -381,7 +409,7 @@ def check_descriptor(d, ctx, frames=None):
     # restricted-growth canonical numbering
     mx = -1
     for c in d.partition:
-        if c > mx + 1:
+        if not 0 <= c <= mx + 1:
             violations.append("P0: partition class ids are not first-occurrence canonical")
             return violations
         mx = max(mx, c)

@@ -318,6 +318,53 @@ def test_certify_rejects_tampered(tmp_path):
     assert code == 4
     assert out.startswith("malformed certificate:")
 
+    # negative class ids are not canonical: a P0 violation, no crash
+    code, out, _ = run("check", fixture_path("s1.fo"), "--json")
+    cert = json.loads(out)["certificate"]
+    d = cert["strategy"][0]["descriptor"]
+    d["partition"] = {v: -1 for v in d["partition"]}
+    d["class_types"] = {}
+    for av in d["atom_values"]:
+        av["classes"] = [-1] * len(av["classes"])
+    d["padding_count"] = 3
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run("certify", fixture_path("s1.fo"),
+                       "--cert", str(cert_path))
+    assert code == 4
+    assert out.startswith("violation:") and "P0" in out
+
+    # a JSON string is no boolean, however it reads
+    code, out, _ = run("check", fixture_path("s3.fo"), "--json")
+    base = json.loads(out)["certificate"]
+    for value in ("true", "", "false", 1):
+        cert = json.loads(json.dumps(base))
+        for entry in cert["strategy"]:
+            for av in entry["descriptor"]["atom_values"]:
+                av["value"] = value
+        cert_path.write_text(json.dumps(cert))
+        code, out, _ = run("certify", fixture_path("s3.fo"),
+                           "--cert", str(cert_path))
+        assert code == 4
+        assert out.startswith("malformed certificate:")
+
+    # ids and padding must be integers, and a JSON true is none
+    for field, value in (("padding_count", True), ("padding_count", 1.0),
+                         ("partition", True), ("classes", True)):
+        cert = json.loads(json.dumps(base))
+        d = cert["strategy"][0]["descriptor"]
+        if field == "partition":
+            d["partition"] = {v: (value if c == 0 else c)
+                              for v, c in d["partition"].items()}
+        elif field == "classes":
+            d["atom_values"][0]["classes"][0] = value
+        else:
+            d[field] = value
+        cert_path.write_text(json.dumps(cert))
+        code, out, _ = run("certify", fixture_path("s3.fo"),
+                           "--cert", str(cert_path))
+        assert code == 4, (field, value)
+        assert out.startswith("malformed certificate:"), (field, value, out)
+
 
 # ---------------------------------------------------------------------------
 # determinism

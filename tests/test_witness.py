@@ -296,12 +296,16 @@ def plan_sentences():
 def test_shared_plan_matches_fresh_plans(monkeypatch):
     for s in plan_sentences():
         plain, ext = solver_contexts(s, monkeypatch)
+        fresh = [(ctx, find_witness(ctx)) for ctx in plain + ext]
         shared = SearchPlan(s)
+        for ctx, want in fresh:
+            assert find_witness(ctx, shared) == want
         for ctx in plain:
-            assert find_witness(ctx, shared) == find_witness(ctx)
             assert enumerate_witnesses(ctx, plan=shared) == enumerate_witnesses(ctx)
-        for ctx in ext:
-            assert find_witness(ctx, shared) == find_witness(ctx)
+        # another state fills each partition's first-walk memo first
+        backward = SearchPlan(s)
+        for ctx, want in reversed(fresh):
+            assert find_witness(ctx, backward) == want
 
 
 def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
@@ -323,6 +327,63 @@ def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
     assert calls
 
 
+def counted_partitions(monkeypatch):
+    built = []
+
+    class Counted(witness._Partition):
+        def __init__(self, plan, part):
+            built.append(part)
+            super().__init__(plan, part)
+
+    monkeypatch.setattr(witness, "_Partition", Counted)
+    return built
+
+
+def test_partitions_built_when_reached(s2, s4, monkeypatch):
+    built = counted_partitions(monkeypatch)
+    neg, pos = OneType((False,)), OneType((True,))
+    plan = SearchPlan(s4)
+    # ~R(z,x) & R(z,y) holds with z, x and y apart: one partition
+    assert find_witness(ctx_for(s4, neg, neg), plan).partition == (0, 1, 2)
+    assert built == [(0, 1, 2)] == [plan.parts[0]]
+    # P(x) & ~P(z) has no witness for the root {+P}: every partition
+    del built[:]
+    plan = SearchPlan(s2)
+    assert find_witness(ctx_for(s2, pos, pos), plan) is None
+    assert built == list(plan.parts) and len(built) == 5  # Bell(3)
+    # merging z and x leaves P(x) & ~P(x): later searches skip those
+    assert [plan.partition(i).empty for i in range(5)] \
+        == [part[0] == part[1] for part in plan.parts]
+
+
+def test_states_share_a_first_walk(monkeypatch):
+    # x's class forces no key of the all-distinct partition, so every
+    # state starts from the same constraint there
+    s = parse("exists z. forall x. exists y. (P(y) & R(x,y))")
+    types = enumerate_one_types(s.signature)
+    pi0, a, b = types[0], types[1], types[-1]
+    depths = []
+    walk = witness._walk
+
+    def counted(pt, levels, constraint, depth, combo):
+        depths.append(depth)
+        return walk(pt, levels, constraint, depth, combo)
+
+    monkeypatch.setattr(witness, "_walk", counted)
+    plan = SearchPlan(s)
+    da = find_witness(ctx_for(s, pi0, a), plan)
+    walked = len(depths)
+    db = find_witness(ctx_for(s, pi0, b), plan)
+    assert walked and len(depths) == walked and depths.count(0) == 1
+    assert da.partition == db.partition == (0, 1, 2)
+    assert da.atom_values == db.atom_values
+    assert da.padding_count == db.padding_count
+    assert da.class_states[1] == a and db.class_states[1] == b
+    assert da.class_states[::2] == db.class_states[::2]
+    assert (da, db) == (find_witness(ctx_for(s, pi0, a)),
+                        find_witness(ctx_for(s, pi0, b)))
+
+
 def test_plan_freed_without_cycle_collection(s4):
     # a plan holds no reference cycle, so dropping it frees it at once
     neg = OneType((False,))
@@ -333,7 +394,7 @@ def test_plan_freed_without_cycle_collection(s4):
             find_witness(ctx, plan)
         state = initial_extended_type(s4.signature, neg)
         find_witness(ext_ctx_for(s4, neg, state), plan)
-        refs = [weakref.ref(x) for x in (plan, plan.partitions[0])]
+        refs = [weakref.ref(x) for x in (plan, plan.partition(0))]
         del plan
         assert [r() for r in refs] == [None] * len(refs)
     finally:
@@ -429,7 +490,8 @@ def test_chunked_tables_match_one_table(monkeypatch, bits):
         assert enumerate_witnesses(ctx, plan=plan) == want
         assert find_witness(ctx, plan) == (want[0] if want else None)
     widths = [t.bit_length() for plan in plans.values()
-              for pt in plan.partitions for t in pt._table.values()]
+              for i in range(len(plan.parts))
+              for t in plan.partition(i)._table.values()]
     assert widths and max(widths) <= 1 << bits
 
 
@@ -440,7 +502,7 @@ def test_wide_tables_stay_chunked():
     neg = OneType((False,))
     ctx = WitnessContext(s, neg, neg, frozenset(enumerate_one_types(s.signature)))
     assert find_witness(ctx, plan) is None
-    widest = plan.partitions[0]
+    widest = plan.partition(0)
     assert len(widest.keys) == 27 and widest.bits == structures._CHUNK_BITS
     # only the all-true valuation satisfies the conjunction
     assert {c: t for c, t in widest._table.items() if t} \
@@ -457,4 +519,4 @@ def test_wide_tables_evaluate_chunks_on_demand():
     ctx = WitnessContext(s, neg, neg, frozenset(enumerate_one_types(s.signature)))
     d = find_witness(ctx, plan)
     assert d is not None and d == find_witness(ctx)
-    assert list(plan.partitions[0]._table) == [0]
+    assert list(plan.partition(0)._table) == [0]
