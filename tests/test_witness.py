@@ -327,7 +327,7 @@ def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
     assert calls
 
 
-def counted_partitions(monkeypatch):
+def test_partitions_built_when_reached(s2, s4, monkeypatch):
     built = []
 
     class Counted(witness._Partition):
@@ -336,11 +336,6 @@ def counted_partitions(monkeypatch):
             super().__init__(plan, part)
 
     monkeypatch.setattr(witness, "_Partition", Counted)
-    return built
-
-
-def test_partitions_built_when_reached(s2, s4, monkeypatch):
-    built = counted_partitions(monkeypatch)
     neg, pos = OneType((False,)), OneType((True,))
     plan = SearchPlan(s4)
     # ~R(z,x) & R(z,y) holds with z, x and y apart: one partition
