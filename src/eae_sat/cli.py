@@ -3,9 +3,9 @@
 Each subcommand takes a sentence FILE and -o/--output PATH, plus only
 the flags it reads; any other flag is a usage error:
 
-  check    --json --timings --method --max-game-depth --arity-cap
+  check    --json --timings --method --arity-cap
   model    --depth
-  diff     --json --max-size --max-structures --max-game-depth --arity-cap
+  diff     --json --max-size --max-structures --arity-cap
   parse    --json
   brute    --json --max-size --max-structures
   certify  --cert
@@ -24,12 +24,7 @@ import sys
 
 from . import serialize, solver, structures, syntax
 from .onetypes import ArityCapExceeded, DEFAULT_ARITY_CAP, render_one_type
-from .solver import (
-    DEFAULT_GAME_DEPTH_BUDGET,
-    GameDepthExceeded,
-    InternalInvariantError,
-    check_certificate,
-)
+from .solver import InternalInvariantError, check_certificate
 from .structures import (
     ConstructionConflict, ModelTooLarge, OracleBudgetExceeded)
 
@@ -59,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _validate_config(args):
-    for name in ("max_structures", "max_game_depth", "arity_cap"):
+    for name in ("max_structures", "arity_cap"):
         if getattr(args, name, 1) < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be positive")
     if getattr(args, "depth", 0) < 0:
@@ -87,8 +82,6 @@ class _Out:
 
 def _solve(sentence, method, args, memo=None):
     kwargs = {} if memo is None else {"memo": memo}
-    if method == "game":
-        kwargs["depth_budget"] = args.max_game_depth
     if method == "extended":
         kwargs["arity_cap"] = args.arity_cap
     return solver.solve(sentence, method=method, **kwargs)
@@ -144,14 +137,14 @@ def cmd_diff(sentence, args, out):
     oracle = (f"model of size {model.size}" if model is not None
               else f"no model up to size {args.max_size}")
 
-    # gfp and game run one fixpoint through one memo, so they never disagree
+    # gfp and game run one fixpoint through one memo, so they never
+    # disagree; extended accepts a pi0 only after that elimination did,
+    # so its SAT implies gfp's
     hard = []
     if model is not None:
         for method in solver.METHODS:
             if verdicts[method] == "UNSAT":
                 hard.append(f"oracle found a model but {method} says UNSAT")
-    if verdicts["extended"] == "SAT" and verdicts["gfp"] == "UNSAT":
-        hard.append("extended says SAT but gfp says UNSAT")
 
     divergence = (verdicts["extended"] == "UNSAT"
                   and verdicts["gfp"] == "SAT" and model is None)
@@ -251,7 +244,6 @@ _FLAGS = {
     "--depth": dict(type=int, default=2, metavar="M"),
     "--max-size": dict(type=int, default=3, metavar="K"),
     "--max-structures": dict(type=int, default=10**7),
-    "--max-game-depth": dict(type=int, default=DEFAULT_GAME_DEPTH_BUDGET),
     "--arity-cap": dict(type=int, default=DEFAULT_ARITY_CAP),
     "--cert": dict(required=True, metavar="FILE"),
 }
@@ -259,13 +251,11 @@ _FLAGS = {
 # name -> (function, help, the flags it reads besides FILE and -o)
 _COMMANDS = {
     "check": (cmd_check, "decide satisfiability",
-              ("--json", "--timings", "--method", "--max-game-depth",
-               "--arity-cap")),
+              ("--json", "--timings", "--method", "--arity-cap")),
     "model": (cmd_model, "build a staged model from a certificate",
               ("--depth",)),
     "diff": (cmd_diff, "run all methods plus the brute-force oracle",
-             ("--json", "--max-size", "--max-structures", "--max-game-depth",
-              "--arity-cap")),
+             ("--json", "--max-size", "--max-structures", "--arity-cap")),
     "parse": (cmd_parse, "parse and dump the sentence", ("--json",)),
     "brute": (cmd_brute, "brute-force model search only",
               ("--json", "--max-size", "--max-structures")),
@@ -317,8 +307,7 @@ def main(argv=None, stdout=None, stderr=None):
     except (syntax.ParseError, syntax.FragmentError, UnicodeDecodeError) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_PARSE
-    except (ArityCapExceeded, GameDepthExceeded, ModelTooLarge,
-            OracleBudgetExceeded) as e:
+    except (ArityCapExceeded, ModelTooLarge, OracleBudgetExceeded) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except RecursionError:

@@ -42,19 +42,6 @@ from .witness import (
     find_witness,
 )
 
-DEFAULT_GAME_DEPTH_BUDGET = 1025  # covers |sigma| <= 10
-
-
-class GameDepthExceeded(Exception):
-    """The counter bound 2^{|sigma|}+1 is above the configured budget."""
-
-    def __init__(self, depth, budget):
-        self.depth = depth
-        self.budget = budget
-        super().__init__(
-            f"game depth {depth} exceeds the configured budget {budget}")
-
-
 class InternalInvariantError(Exception):
     """A solver-produced artifact failed its own self-check."""
 
@@ -114,14 +101,12 @@ class Memo:
     which lives as long as the memo.  Solves of one sentence may share a
     memo: each answer is searched once, while `begin` starts a solve's
     own count, in which a key is a search the first time that solve asks
-    it and a hit after.  `record`, when given, collects the key of every
-    such search.
+    it and a hit after.
     """
 
-    def __init__(self, sentence, record=None):
+    def __init__(self, sentence):
         self.sentence = sentence
         self.table = {}  # key -> [descriptor or None, solve that last asked]
-        self.record = record
         self.solve = 0
         self.searches = 0
         self.hits = 0
@@ -142,8 +127,6 @@ class Memo:
             self.hits += 1
             return entry[0]
         self.searches += 1
-        if self.record is not None:
-            self.record.append(key)
         if entry is None:
             entry = self.table[key] = [find_witness(
                 WitnessContext(self.sentence, pi0, state, allowed),
@@ -210,21 +193,20 @@ def _decide(method, all_types, memo, eliminate, certify=None):
 # The three methods
 # ---------------------------------------------------------------------------
 
-def gfp_solve(sentence, record_contexts=None, memo=None):
+def gfp_solve(sentence, memo=None):
     """Decide satisfiability by type elimination; the reference method.
 
     `memo`, here and in the other methods, is a `Memo` of the same
     sentence that earlier solves may have filled.
     """
     all_types = enumerate_one_types(sentence.signature)
-    memo = memo or Memo(sentence, record=record_contexts)
+    memo = memo or Memo(sentence)
     return _decide("gfp", all_types, memo,
                    lambda pi0: (_eliminate(pi0, all_types, memo), pi0),
                    lambda pi0, good: _certificate(pi0, good, memo))
 
 
-def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET,
-                       memo=None):
+def bounded_game_solve(sentence, memo=None):
     """Decide satisfiability by the counter-bounded game.
 
     Acc(pi, D) accepts outright at depth D = 2^{|sigma|}+1; below it,
@@ -233,12 +215,10 @@ def bounded_game_solve(sentence, depth_budget=DEFAULT_GAME_DEPTH_BUDGET,
     operator to the level above, starting from the top element, and the
     lattice of type sets has height 2^{|sigma|} < D.  So the levels
     reach that operator's fixpoint before counter 0, and Acc(., 0) is
-    exactly the set left by elimination run until nothing changes.
+    exactly the set left by elimination run until nothing changes: the
+    game is decided by that elimination, at any depth.
     """
     all_types = enumerate_one_types(sentence.signature)
-    depth = len(all_types) + 1  # 2^{|sigma|} + 1
-    if depth > depth_budget:
-        raise GameDepthExceeded(depth, depth_budget)
     memo = memo or Memo(sentence)
     return _decide("game", all_types, memo,
                    lambda pi0: (_eliminate(pi0, all_types, memo), pi0))

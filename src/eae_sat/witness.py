@@ -98,7 +98,8 @@ def _partitions(k):
 class _Partition:
     """One partition's atom keys, the matrix's truth table over them (a
     chunk is evaluated when a search first reaches it), the masks that
-    class states put on it, and the first walk from each start
+    class states put on it (one is computed when a walk first reaches
+    its class and state), and the first walk from each start
     constraint and allowed set.  Nothing in it refers back to it.
 
     Valuation v gives key j (sorted order) the value of bit j of v: the
@@ -126,7 +127,6 @@ class _Partition:
         self.empty = False  # whether every chunk is known and none has any
         self._rules = {}  # state kind -> per class: [(slot, state bit)]
         self._masks = {}  # (class, state) -> constraint
-        self._levels = {}  # allowed state set -> levels()
         self._first = {}  # (start constraint, allowed) -> first _walk item
 
     def _evaluate(self, chunk):
@@ -187,22 +187,13 @@ class _Partition:
             out = self._masks[c, state] = low, high, fixed
         return out
 
-    def levels(self, allowed, ordered):
-        """Per free class, (state, constraint) for each state, in order."""
-        out = self._levels.get(allowed)
-        if out is None:
-            out = self._levels[allowed] = tuple(
-                [(s, self.mask(c, s)) for s in ordered]
-                for c in self.free_classes)
-        return out
-
     def first_walk(self, start, allowed, ordered):
         """The first `_walk` item from `start` as a 0- or 1-tuple, shared
         by every state under test with this start constraint."""
         key = start, allowed
         out = self._first.get(key)
         if out is None:
-            item = next(_walk(self, self.levels(allowed, ordered), start, 0, ()), None)
+            item = next(_walk(self, ordered, start, 0, ()), None)
             out = self._first[key] = () if item is None else (item,)
         return out
 
@@ -259,30 +250,32 @@ def _plan_for(ctx, plan):
     return plan
 
 
-def _walk(pt, levels, constraint, depth, combo):
+def _walk(pt, ordered, constraint, depth, combo):
     """Yield (combo, valuation) for each completion of `combo`, the states
     of the first `depth` free classes, in canonical order; `constraint`
-    is what `combo` allows.
+    is what `combo` allows and `ordered` the allowed states in order.
 
     Depth first, in `product` order: a prefix that allows no satisfying
     valuation is dropped, and so is a state whose constraint already
     failed at the same prefix, since its subtree is the same.
     """
-    if depth == len(levels):
+    if depth == len(pt.free_classes):
         for chunk, t in pt.hits(constraint):
             while t:
                 bit = t & -t
                 yield combo, chunk << pt.bits | bit.bit_length() - 1
                 t ^= bit
         return
+    c = pt.free_classes[depth]
     failed = set()
-    for s, mask in levels[depth]:
+    for s in ordered:
+        mask = pt.mask(c, s)
         if mask in failed:
             continue
         sub = pt.meet(constraint, mask)
         found = False
         if sub is not None:
-            for item in _walk(pt, levels, sub, depth + 1, combo + (s,)):
+            for item in _walk(pt, ordered, sub, depth + 1, combo + (s,)):
                 found = True
                 yield item
         if not found:
@@ -312,7 +305,7 @@ def _search(plan, ctx, first=False):
         if first:
             items = pt.first_walk(start, allowed, ordered)
         else:
-            items = _walk(pt, pt.levels(allowed, ordered), start, 0, ())
+            items = _walk(pt, ordered, start, 0, ())
         states = [None] * pt.nclasses
         states[cz] = root
         states[cx] = state
@@ -355,14 +348,13 @@ class CheckFrames:
     """What checking one sentence's descriptors settles once, built apart
     from the search's SearchPlan: per (partition, state kind) the
     variable-to-class map, the matrix's atom keys and the (class, bit)
-    each forced key reads; per (state kind, pi0) the root.
+    each forced key reads.
     """
 
     def __init__(self, sentence):
         self.sentence = sentence
         self.atoms = atoms_of(sentence.matrix)
         self._frames = {}  # (partition, kind) -> (env, keys, key set, forced)
-        self._roots = {}  # (kind, pi0) -> the z-class state
 
     def frame(self, partition, kind):
         """(env, keys, key set, forced) for a well-formed partition:
@@ -380,12 +372,6 @@ class CheckFrames:
                 if hit is not None:
                     forced.append((name, ctuple, *hit, len(set(ctuple)) == 1))
             out = self._frames[partition, kind] = (env, keys, set(keys), forced)
-        return out
-
-    def root(self, kind, pi0):
-        out = self._roots.get((kind, pi0))
-        if out is None:
-            out = self._roots[kind, pi0] = kind.root(self.sentence.signature, pi0)
         return out
 
 
@@ -455,7 +441,7 @@ def check_descriptor(d, ctx, frames=None):
                 f"C7: atom ({name}, {ctuple}) valued {got}, "
                 f"extended type dictates {want}")
 
-    if d.class_states[cz] != frames.root(kind, ctx.pi0):
+    if d.class_states[cz] != kind.root(sentence.signature, ctx.pi0):
         violations.append("C4: z-class type differs from pi0")
     if d.class_states[cx] != ctx.state:
         violations.append("C4: x-class type differs from pi")

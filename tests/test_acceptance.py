@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from eae_sat import solver
 from eae_sat.cli import main as cli_main
 from eae_sat.onetypes import enumerate_one_types
 from eae_sat.solver import (
@@ -31,7 +32,6 @@ from eae_sat.structures import (
 )
 from eae_sat.syntax import parse
 from eae_sat.witness import (
-    WitnessContext,
     WitnessDescriptor,
     enumerate_witnesses,
     find_witness,
@@ -65,11 +65,18 @@ def corpus_200():
 def corpus_outcomes(corpus_200):
     """gfp outcomes plus every witness-search context they visited."""
     outs, contexts = [], []
-    for s in corpus_200:
-        keys = []
-        outs.append(gfp_solve(s, record_contexts=keys))
-        contexts.extend(WitnessContext(s, pi0, pi, allowed)
-                        for pi0, pi, allowed in keys)
+
+    def recorded(ctx, plan=None):
+        contexts.append(ctx)
+        return find_witness(ctx, plan)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "find_witness", recorded)
+        for s in corpus_200:
+            before = len(contexts)
+            outs.append(gfp_solve(s))
+            # a fresh memo misses on every first ask: one search each
+            assert len(contexts) - before == outs[-1].stats.witness_searches
     return outs, contexts
 
 

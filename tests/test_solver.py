@@ -1,9 +1,10 @@
 import gc
+import io
 import weakref
 
 import pytest
 
-from eae_sat import solver
+from eae_sat import cli, solver
 from eae_sat.onetypes import (
     ExtendedType,
     OneType,
@@ -13,7 +14,6 @@ from eae_sat.onetypes import (
 from eae_sat.serialize import certificate_from_json, certificate_to_json
 from eae_sat.solver import (
     Certificate,
-    GameDepthExceeded,
     bounded_game_solve,
     check_certificate,
     extended_solve,
@@ -97,9 +97,34 @@ def test_s1_game_accepts_at_minimal_depth(s1):
     assert out.stats.types_total == 1
 
 
-def test_game_depth_budget(s2):
-    with pytest.raises(GameDepthExceeded):
-        bounded_game_solve(s2, depth_budget=2)
+def test_game_has_no_depth_budget(tmp_path):
+    # 11 relations: counter bound 2^11 + 1 = 2049, and still gfp's answer
+    text = ("exists z. forall x. exists y. ((A(x) -> ~A(y)) & (B(y) | C(x) "
+            "| D(y) | E(x) | F(y) | G(x) | H(y) | I(x) | J(y) | K(x)))")
+    s = parse(text)
+    game, gfp = bounded_game_solve(s), gfp_solve(s)
+    assert game.stats.types_total == 2048
+    assert (game.verdict, game.pi0, game.refutation) \
+        == (gfp.verdict, gfp.pi0, gfp.refutation)
+    path = tmp_path / "s.fo"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["check", str(path), "--method", "game"],
+                    stdout=io.StringIO(), stderr=io.StringIO()) == cli.EXIT_SAT
+
+
+@pytest.mark.parametrize("seed", (7, 8))
+def test_extended_sat_implies_gfp_sat(seed):
+    # extended accepts a pi0 only after the plain elimination accepted it,
+    # and gfp stops at the first pi0 that elimination accepts
+    sats = 0
+    for s in corpus.corpus(size=300, seed=seed):
+        ext = extended_solve(s)
+        if ext.verdict == "SAT":
+            sats += 1
+            gfp = gfp_solve(s)
+            assert gfp.verdict == "SAT"
+            assert gfp.pi0.index() <= ext.pi0.index()
+    assert sats
 
 
 def test_solve_dispatch(s1):

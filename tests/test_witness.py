@@ -267,23 +267,16 @@ def test_ext_fault_reported_once():
 
 def solver_contexts(sentence, monkeypatch):
     """Every context gfp and extended solving query, in query order."""
-    keys = []
-    gfp_solve(sentence, record_contexts=keys)
-    plain = [WitnessContext(sentence, pi0, pi, allowed) for pi0, pi, allowed in keys]
-    ext = []
+    plain, ext = [], []
 
-    def recorded(find, log):
-        def wrapper(ctx, plan=None):
-            log.append(ctx)
-            return find(ctx, plan)
-        return wrapper
-
-    queried = []
-    with monkeypatch.context() as m:
-        m.setattr(solver, "find_witness", recorded(find_witness, queried))
-        extended_solve(sentence)
-    for ctx in queried:
+    def recorded(ctx, plan=None):
         (ext if isinstance(ctx.state, ExtendedType) else plain).append(ctx)
+        return find_witness(ctx, plan)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "find_witness", recorded)
+        gfp_solve(sentence)
+        extended_solve(sentence)
     return plain, ext
 
 
@@ -360,9 +353,9 @@ def test_states_share_a_first_walk(monkeypatch):
     depths = []
     walk = witness._walk
 
-    def counted(pt, levels, constraint, depth, combo):
+    def counted(pt, ordered, constraint, depth, combo):
         depths.append(depth)
-        return walk(pt, levels, constraint, depth, combo)
+        return walk(pt, ordered, constraint, depth, combo)
 
     monkeypatch.setattr(witness, "_walk", counted)
     plan = SearchPlan(s)
@@ -377,6 +370,17 @@ def test_states_share_a_first_walk(monkeypatch):
     assert da.class_states[::2] == db.class_states[::2]
     assert (da, db) == (find_witness(ctx_for(s, pi0, a)),
                         find_witness(ctx_for(s, pi0, b)))
+
+
+def test_masks_computed_when_walked():
+    s = parse("exists z. forall x. exists y. (~P(y) | Q(y) | R(x) | S(z))")
+    types = enumerate_one_types(s.signature)
+    plan = SearchPlan(s)
+    find_witness(ctx_for(s, types[5], types[9]), plan)
+    # z's, x's, and the first y state: it satisfies the matrix, so the
+    # walk reaches none of the other 15 states of y's class
+    assert list(plan._built) == [0]
+    assert len(plan.partition(0)._masks) == 3
 
 
 def test_plan_freed_without_cycle_collection(s4):
