@@ -224,7 +224,7 @@ def cmd_certify(sentence, args, out):
     try:
         with open(args.cert, encoding="utf-8") as fh:
             cert = serialize.certificate_from_json(json.load(fh), sentence)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, RecursionError) as e:
         out.write(f"malformed certificate: {e}\n")
         return EXIT_DISAGREE
     bad = check_certificate(sentence, cert)

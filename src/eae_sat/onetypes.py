@@ -171,14 +171,18 @@ def enumerate_extended_types(sig, pi0, cap=DEFAULT_ARITY_CAP):
 # Rendering
 # ---------------------------------------------------------------------------
 
+def type_symbols(t, sig):
+    """Signed-symbol list, e.g. `["+P", "-R"]`."""
+    return [("+" if t.bit(i) else "-") + name for i, (name, _) in enumerate(sig)]
+
+
 def render_one_type(t, sig):
     """Signed-symbol rendering, e.g. `{+P, -R}`; `{}` for the empty signature."""
-    parts = [("+" if t.bit(i) else "-") + name for i, (name, _) in enumerate(sig)]
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(type_symbols(t, sig)) + "}"
 
 
 def one_type_from_symbols(symbols, sig):
-    """Inverse of render_one_type's symbol list form."""
+    """Inverse of type_symbols."""
     values = {}
     for s in symbols:
         if not s or s[0] not in "+-":

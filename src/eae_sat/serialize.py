@@ -1,20 +1,18 @@
 """Stable JSON forms for outcomes, certificates, models, and conflicts.
 
 All dictionaries use sorted keys and deterministic list orders, so
-serialized output is byte-identical across runs.
+serialized output is byte-identical across runs.  `dumps` prints each
+object as one line; `python -m json.tool` indents it for reading.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+import json
 
-from .onetypes import ExtendedType, one_type_from_symbols, render_extended_type
+from .onetypes import (
+    ExtendedType, one_type_from_symbols, render_extended_type, type_symbols)
 from .solver import Certificate
 from .witness import WitnessDescriptor
-
-
-def type_symbols(t, sig):
-    return [("+" if t.bit(i) else "-") + name for i, (name, _) in enumerate(sig)]
 
 
 def state_label(state, sig):
@@ -53,7 +51,7 @@ def descriptor_from_json(obj, sentence):
         one_type_from_symbols(obj["class_types"][str(c)], sig)
         for c in range(nclasses))
     atom_values = tuple(sorted(
-        (av["rel"], tuple(_exact(c, int) for c in av["classes"]),
+        (_exact(av["rel"], str), tuple(_exact(c, int) for c in av["classes"]),
          _exact(av["value"], bool))
         for av in obj["atom_values"]))
     return WitnessDescriptor(
@@ -160,67 +158,8 @@ def conflict_to_json(conflict):
 
 
 def dumps(obj):
-    """`json.dumps(obj, indent=2, sort_keys=True)` plus a newline.
+    """`obj` as one line of JSON with sorted keys, plus a newline.
 
-    Written out directly: with `indent` set, the json module leaves its
-    C encoder for a slower pure-Python one.
+    With no `indent`, the json module prints through its C encoder.
     """
-    parts = []
-    _write(obj, parts, "\n")
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _scalar(o):
-    """None, a bool, an int or a float as JSON prints it."""
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (float("inf"), float("-inf")):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _write(o, parts, newline):
-    """Append o's JSON at the indentation that `newline` ends with."""
-    if isinstance(o, str):
-        parts.append(_quote(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in o:
-            parts.append(sep)
-            _write(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            if isinstance(key, str):
-                parts.append(sep + _quote(key) + ": ")
-            elif key is None or isinstance(key, (int, float)):
-                parts.append(sep + _quote(_scalar(key)) + ": ")
-            else:
-                raise TypeError("keys must be str, int, float, bool or None, "
-                                f"not {type(key).__name__}")
-            _write(value, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "}")
-    else:
-        parts.append(_scalar(o))
+    return json.dumps(obj, sort_keys=True) + "\n"

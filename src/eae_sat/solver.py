@@ -101,11 +101,13 @@ class Memo:
     which lives as long as the memo.  Solves of one sentence may share a
     memo: each answer is searched once, while `begin` starts a solve's
     own count, in which a key is a search the first time that solve asks
-    it and a hit after.
+    it and a hit after.  They share its 1-types too, so a key built by
+    one solve holds the very objects another solve looks it up with.
     """
 
     def __init__(self, sentence):
         self.sentence = sentence
+        self.one_types = enumerate_one_types(sentence.signature)
         self.table = {}  # key -> [descriptor or None, solve that last asked]
         self.solve = 0
         self.searches = 0
@@ -199,8 +201,8 @@ def gfp_solve(sentence, memo=None):
     `memo`, here and in the other methods, is a `Memo` of the same
     sentence that earlier solves may have filled.
     """
-    all_types = enumerate_one_types(sentence.signature)
     memo = memo or Memo(sentence)
+    all_types = memo.one_types
     return _decide("gfp", all_types, memo,
                    lambda pi0: (_eliminate(pi0, all_types, memo), pi0),
                    lambda pi0, good: _certificate(pi0, good, memo))
@@ -218,8 +220,8 @@ def bounded_game_solve(sentence, memo=None):
     exactly the set left by elimination run until nothing changes: the
     game is decided by that elimination, at any depth.
     """
-    all_types = enumerate_one_types(sentence.signature)
     memo = memo or Memo(sentence)
+    all_types = memo.one_types
     return _decide("game", all_types, memo,
                    lambda pi0: (_eliminate(pi0, all_types, memo), pi0))
 
@@ -246,8 +248,8 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
     """
     sig = sentence.signature
     check_arity_cap(sig, arity_cap)
-    all_types = enumerate_one_types(sig)
     memo = memo or Memo(sentence)
+    all_types = memo.one_types
     plain = {}  # pi0 -> its plain survivors, in canonical order
 
     def eliminate(pi0):

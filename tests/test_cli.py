@@ -202,7 +202,7 @@ def test_model_element_cap(tmp_path):
     code, out, _ = run("model", str(path), "--depth", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "fcc0589214b395c7e90d2312e4a89f63a235df962db44f0657b5732ec705690a"
+        "e94d462a5e669cc5fb8f7838383436d275ad63e9ea20c0641a9130c0a076cd4f"
 
 
 def test_model_stage_cap():
@@ -310,11 +310,13 @@ def test_certify_rejects_tampered(tmp_path):
                        "--cert", str(cert_path))
     assert code == 4
     assert "violation" in out
-    cert_path.write_text("not json\n")
-    code, out, _ = run("certify", fixture_path("s3.fo"),
-                       "--cert", str(cert_path))
-    assert code == 4
-    assert out.startswith("malformed certificate:")
+    # not JSON at all, and JSON nested past the recursion limit
+    for text in ("not json\n", "[" * 100000 + "]" * 100000):
+        cert_path.write_text(text)
+        code, out, err = run("certify", fixture_path("s3.fo"),
+                             "--cert", str(cert_path))
+        assert code == 4
+        assert out.startswith("malformed certificate:") and not err
 
     # negative class ids are not canonical: a P0 violation, no crash
     code, out, _ = run("check", fixture_path("s1.fo"), "--json")
@@ -345,9 +347,11 @@ def test_certify_rejects_tampered(tmp_path):
         assert code == 4
         assert out.startswith("malformed certificate:")
 
-    # ids and padding must be integers, and a JSON true is none
+    # ids and padding must be integers, and a JSON true is none; a
+    # relation name must be a string
     for field, value in (("padding_count", True), ("padding_count", 1.0),
-                         ("partition", True), ("classes", True)):
+                         ("partition", True), ("classes", True),
+                         ("rel", ["E"])):
         cert = json.loads(json.dumps(base))
         d = cert["strategy"][0]["descriptor"]
         if field == "partition":
@@ -355,6 +359,10 @@ def test_certify_rejects_tampered(tmp_path):
                               for v, c in d["partition"].items()}
         elif field == "classes":
             d["atom_values"][0]["classes"][0] = value
+        elif field == "rel":
+            # on every atom value, so that sorting them raises nothing
+            for av in d["atom_values"]:
+                av["rel"] = value
         else:
             d[field] = value
         cert_path.write_text(json.dumps(cert))

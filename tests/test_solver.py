@@ -348,20 +348,27 @@ def test_plain_rejected_candidates_enumerate_no_extended_types(monkeypatch):
 
 def test_shared_memo_gives_each_solve_its_own_outcome(monkeypatch):
     # diff's solves through one memo: the same outcomes and per-solve
-    # stats as alone, and no witness search runs twice
+    # stats as alone, no witness search runs twice, and the 1-types are
+    # enumerated once, so memo keys of different solves hold one set of
+    # objects
     calls = []
+    enums = []
     find = solver.find_witness
+    enum = solver.enumerate_one_types
     monkeypatch.setattr(solver, "find_witness",
                         lambda ctx, plan=None: calls.append(ctx) or find(ctx, plan))
+    monkeypatch.setattr(solver, "enumerate_one_types",
+                        lambda sig: enums.append(sig) or enum(sig))
     saved = 0
     for s in corpus.corpus(size=120):
         del calls[:]
         alone = [solve(s, method=m) for m in METHODS]
         searched_alone = len(calls)
-        del calls[:]
+        del calls[:], enums[:]
         memo = solver.Memo(s)
         shared = [solve(s, method=m, memo=memo) for m in METHODS]
         assert len(calls) == len(set(calls)) == len(memo.table)
+        assert enums == [s.signature]
         saved += searched_alone - len(calls)
         for a, b in zip(alone, shared):
             b.stats.elapsed_ms = a.stats.elapsed_ms
