@@ -162,7 +162,7 @@ def _certificate(pi0, good, memo):
         (pi, memo.find(pi0, pi, allowed)) for pi in good))
 
 
-def _decide(method, all_types, memo, eliminate, certify=None):
+def _decide(method, memo, eliminate, certify=None):
     """Try each starting type pi0 in canonical order; stop at the first accepted.
 
     `eliminate(pi0)` gives (trace, root): pi0 is accepted iff `root`
@@ -171,9 +171,9 @@ def _decide(method, all_types, memo, eliminate, certify=None):
     """
     t0 = time.perf_counter()
     memo.begin()
-    stats = SolveStats(types_total=len(all_types))
+    stats = SolveStats(types_total=len(memo.one_types))
     traces = []
-    for pi0 in all_types:
+    for pi0 in memo.one_types:
         trace, root = eliminate(pi0)
         traces.append(trace)
         if root in trace.surviving:
@@ -202,9 +202,8 @@ def gfp_solve(sentence, memo=None):
     sentence that earlier solves may have filled.
     """
     memo = memo or Memo(sentence)
-    all_types = memo.one_types
-    return _decide("gfp", all_types, memo,
-                   lambda pi0: (_eliminate(pi0, all_types, memo), pi0),
+    return _decide("gfp", memo,
+                   lambda pi0: (_eliminate(pi0, memo.one_types, memo), pi0),
                    lambda pi0, good: _certificate(pi0, good, memo))
 
 
@@ -221,9 +220,8 @@ def bounded_game_solve(sentence, memo=None):
     game is decided by that elimination, at any depth.
     """
     memo = memo or Memo(sentence)
-    all_types = memo.one_types
-    return _decide("game", all_types, memo,
-                   lambda pi0: (_eliminate(pi0, all_types, memo), pi0))
+    return _decide("game", memo,
+                   lambda pi0: (_eliminate(pi0, memo.one_types, memo), pi0))
 
 
 def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
@@ -249,11 +247,10 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
     sig = sentence.signature
     check_arity_cap(sig, arity_cap)
     memo = memo or Memo(sentence)
-    all_types = memo.one_types
     plain = {}  # pi0 -> its plain survivors, in canonical order
 
     def eliminate(pi0):
-        trace = _eliminate(pi0, all_types, memo)
+        trace = _eliminate(pi0, memo.one_types, memo)
         if pi0 not in trace.surviving:
             return trace, pi0
         plain[pi0] = trace.surviving
@@ -262,7 +259,7 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
                   if s.own_type() in good]
         return _eliminate(pi0, states, memo), ExtendedType.root(sig, pi0)
 
-    return _decide("extended", all_types, memo, eliminate,
+    return _decide("extended", memo, eliminate,
                    lambda pi0, _: _certificate(pi0, plain[pi0], memo))
 
 
