@@ -43,13 +43,23 @@ def _exact(value, kind):
     return value
 
 
+def _keyed(obj, keys, what):
+    """`obj` if its keys are exactly the strings of `keys`, a sized
+    collection such as a range, else ValueError."""
+    if len(obj) != len(keys) or any(str(k) not in obj for k in keys):
+        raise ValueError(f"{what} has keys {sorted(obj)}")
+    return obj
+
+
 def descriptor_from_json(obj, sentence):
     sig = sentence.signature
-    part = tuple(_exact(obj["partition"][v], int) for v in sentence.prefix_vars)
+    vs = sentence.prefix_vars
+    partition = _keyed(obj["partition"], vs, "partition")
+    part = tuple(_exact(partition[v], int) for v in vs)
     nclasses = max(part) + 1 if part else 0
-    class_states = tuple(
-        one_type_from_symbols(obj["class_types"][str(c)], sig)
-        for c in range(nclasses))
+    class_types = _keyed(obj["class_types"], range(nclasses), "class_types")
+    class_states = tuple(one_type_from_symbols(class_types[str(c)], sig)
+                         for c in range(nclasses))
     atom_values = tuple(sorted(
         (_exact(av["rel"], str), tuple(_exact(c, int) for c in av["classes"]),
          _exact(av["value"], bool))
@@ -79,6 +89,9 @@ def certificate_from_json(obj, sentence):
         for e in obj["strategy"]
     ]
     entries.sort(key=lambda e: e[0].index())
+    for (a, _), (b, _) in zip(entries, entries[1:]):
+        if a == b:
+            raise ValueError(f"strategy lists type {type_symbols(a, sig)} twice")
     return Certificate(
         pi0=one_type_from_symbols(obj["pi0"], sig),
         strategy=tuple(entries))

@@ -2,9 +2,11 @@
 
 All three methods run one engine, `_eliminate`: starting from a finite
 set of states, repeatedly discard every state that has no witness whose
-realized states all survive, until nothing changes.  A candidate driver
-tries each starting type pi0 in canonical order and stops at the first
-one accepted.  The methods differ only in their states:
+realized states all survive, until nothing changes.  Each round searches
+the root, z's own state, first, and a root with no witness ends the
+elimination with nothing left.  A candidate driver tries each starting
+type pi0 in canonical order and stops at the first one accepted, the
+first whose root survives.  The methods differ only in their states:
 
 * ``gfp_solve`` — 1-types; pi0 is accepted iff it survives.
 * ``bounded_game_solve`` — the counter-bounded reading of the same
@@ -18,7 +20,10 @@ one accepted.  The methods differ only in their states:
 
 SAT results from gfp and extended carry a positional-strategy
 certificate that an independent checker can validate; UNSAT results
-carry per-candidate elimination traces.
+carry per-candidate elimination traces.  Each round of a trace lists
+states with no witness among the states alive before it; the round in
+which the root dies lists the root alone, and the next one lists the
+rest, unsearched, since no state has a witness once the root is gone.
 """
 
 from __future__ import annotations
@@ -141,13 +146,26 @@ class Memo:
 # The elimination engine and the candidate driver
 # ---------------------------------------------------------------------------
 
-def _eliminate(pi0, states, memo):
-    """Discard states lacking a witness among the survivors, until stable."""
+def _eliminate(pi0, states, root, memo):
+    """Discard states lacking a witness among the survivors, until stable.
+
+    Each round asks for the root's witness first.  Every witness puts
+    the root in z's class, so once the root has none, no state has one:
+    its round lists the root alone, one more round lists the rest in
+    canonical order unsearched, and nothing survives.
+    """
     good = list(states)
     rounds = []
     while True:
         allowed = frozenset(good)
-        removed = [s for s in good if memo.find(pi0, s, allowed) is None]
+        if memo.find(pi0, root, allowed) is None:
+            rounds.append((len(rounds) + 1, [root]))
+            rest = [s for s in good if s != root]
+            if rest:
+                rounds.append((len(rounds) + 1, rest))
+            return EliminationTrace(pi0=pi0, rounds=rounds, surviving=[])
+        removed = [s for s in good
+                   if s != root and memo.find(pi0, s, allowed) is None]
         if not removed:
             return EliminationTrace(pi0=pi0, rounds=rounds, surviving=good)
         rounds.append((len(rounds) + 1, removed))
@@ -165,18 +183,19 @@ def _certificate(pi0, good, memo):
 def _decide(method, memo, eliminate, certify=None):
     """Try each starting type pi0 in canonical order; stop at the first accepted.
 
-    `eliminate(pi0)` gives (trace, root): pi0 is accepted iff `root`
-    survives in `trace`.  `certify(pi0, surviving)`, when given, builds
-    the certificate of the accepted candidate.
+    `eliminate(pi0)` gives the candidate's trace: pi0 is accepted iff
+    anything survives, since `_eliminate` empties a trace whose root
+    dies.  `certify(pi0, surviving)`, when given, builds the
+    certificate of the accepted candidate.
     """
     t0 = time.perf_counter()
     memo.begin()
     stats = SolveStats(types_total=len(memo.one_types))
     traces = []
     for pi0 in memo.one_types:
-        trace, root = eliminate(pi0)
+        trace = eliminate(pi0)
         traces.append(trace)
-        if root in trace.surviving:
+        if trace.surviving:
             cert = certify(pi0, trace.surviving) if certify else None
             outcome = SolveOutcome(verdict="SAT", method=method, pi0=pi0,
                                    certificate=cert, stats=stats)
@@ -203,7 +222,7 @@ def gfp_solve(sentence, memo=None):
     """
     memo = memo or Memo(sentence)
     return _decide("gfp", memo,
-                   lambda pi0: (_eliminate(pi0, memo.one_types, memo), pi0),
+                   lambda pi0: _eliminate(pi0, memo.one_types, pi0, memo),
                    lambda pi0, good: _certificate(pi0, good, memo))
 
 
@@ -221,7 +240,7 @@ def bounded_game_solve(sentence, memo=None):
     """
     memo = memo or Memo(sentence)
     return _decide("game", memo,
-                   lambda pi0: (_eliminate(pi0, memo.one_types, memo), pi0))
+                   lambda pi0: _eliminate(pi0, memo.one_types, pi0, memo))
 
 
 def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
@@ -250,14 +269,14 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
     plain = {}  # pi0 -> its plain survivors, in canonical order
 
     def eliminate(pi0):
-        trace = _eliminate(pi0, memo.one_types, memo)
-        if pi0 not in trace.surviving:
-            return trace, pi0
+        trace = _eliminate(pi0, memo.one_types, pi0, memo)
+        if not trace.surviving:
+            return trace
         plain[pi0] = trace.surviving
         good = set(trace.surviving)
         states = [s for s in enumerate_extended_types(sig, pi0, cap=arity_cap)
                   if s.own_type() in good]
-        return _eliminate(pi0, states, memo), ExtendedType.root(sig, pi0)
+        return _eliminate(pi0, states, ExtendedType.root(sig, pi0), memo)
 
     return _decide("extended", memo, eliminate,
                    lambda pi0, _: _certificate(pi0, plain[pi0], memo))

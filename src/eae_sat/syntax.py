@@ -200,11 +200,17 @@ def extract_signature(matrix):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Each match skips whitespace and comments, then takes one token, the
+# end of the text, or a character no token starts with.  Every position
+# matches, so `finditer` leaves no gap.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op><->|->|!=|=|~|&|\||\(|\)|,|\.)
+    (?:\s|\#[^\n]*)*
+    (?:
+        (?P<tok>[A-Za-z][A-Za-z0-9_]*|<->|->|!=|[=~&|(),.])
+      | (?P<end>\Z)
+      | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -212,16 +218,16 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "tok":
+            tokens.append((m.group(kind), m.start(kind)))
+        elif kind == "end":
+            tokens.append((None, len(text)))  # end marker
+            return tokens
+        else:
+            pos = m.start(kind)
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.group(), pos))
-        pos = m.end()
-    tokens.append((None, pos))  # end marker
-    return tokens
 
 
 class _Parser:

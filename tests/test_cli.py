@@ -371,6 +371,27 @@ def test_certify_rejects_tampered(tmp_path):
         assert code == 4, (field, value)
         assert out.startswith("malformed certificate:"), (field, value, out)
 
+    # a variable outside the prefix, a class id outside 0..n-1, and a
+    # type listed twice: the solver writes none of them
+    def extra_variable(c):
+        c["strategy"][0]["descriptor"]["partition"]["w"] = 0
+
+    def extra_class(c):
+        d = c["strategy"][0]["descriptor"]
+        d["class_types"][str(len(d["class_types"]))] = []
+
+    def repeated_type(c):
+        c["strategy"].append(c["strategy"][0])
+
+    for tamper in (extra_variable, extra_class, repeated_type):
+        cert = json.loads(json.dumps(base))
+        tamper(cert)
+        cert_path.write_text(json.dumps(cert))
+        code, out, _ = run("certify", fixture_path("s3.fo"),
+                           "--cert", str(cert_path))
+        assert code == 4, tamper.__name__
+        assert out.startswith("malformed certificate:"), (tamper.__name__, out)
+
 
 # ---------------------------------------------------------------------------
 # determinism

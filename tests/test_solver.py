@@ -61,9 +61,9 @@ def test_s2_refutation_trace(s2):
     # pi0 = {-P}: round 1 eliminates {-P}, then the rest collapses
     assert traces[neg].rounds[0] == (1, [neg])
     assert traces[neg].surviving == []
-    # pi0 = {+P}: everything dies in the first round
-    assert traces[pos].rounds[0][0] == 1
-    assert set(traces[pos].rounds[0][1]) == {neg, pos}
+    # pi0 = {+P}: the root dies in the first round, and the rest with it
+    assert traces[pos].rounds == [(1, [pos]), (2, [neg])]
+    assert traces[pos].surviving == []
 
 
 def test_s3_all_methods(s3):
@@ -290,6 +290,65 @@ def _tried(out, sig):
     return types[:types.index(out.pi0) + 1] if out.pi0 is not None else types
 
 
+def _jacobi_decide(sentence, method, plan):
+    """(verdict, pi0, certificate) by Jacobi elimination, which searches
+    every state in every round, the root among them."""
+    sig = sentence.signature
+    types = enumerate_one_types(sig)
+    for pi0 in types:
+        plain = _survivors(sentence, pi0, types, plan)
+        if pi0 not in plain:
+            continue
+        if method == "extended":
+            good = set(plain)
+            states = [e for e in enumerate_extended_types(sig, pi0)
+                      if e.own_type() in good]
+            if ExtendedType.root(sig, pi0) not in _survivors(
+                    sentence, pi0, states, plan):
+                continue
+        allowed = frozenset(plain)
+        return "SAT", pi0, Certificate(pi0=pi0, strategy=tuple(
+            (pi, find_witness(WitnessContext(sentence, pi0, pi, allowed), plan))
+            for pi in plain))
+    return "UNSAT", None, None
+
+
+@pytest.mark.parametrize("seed", (7, 8))
+def test_refutations_replay_and_root_first_matches_jacobi(seed):
+    # every round of an UNSAT trace names only states with no witness
+    # among the states alive before it, the root dies, and what is left
+    # is `surviving`; the root-first elimination decides as the Jacobi one
+    replayed = 0
+    for s in corpus.corpus(size=300, seed=seed):
+        sig = s.signature
+        plan = SearchPlan(s)
+        outs = {m: solve(s, method=m) for m in METHODS}
+        for m in ("gfp", "extended"):
+            out = outs[m]
+            assert (out.verdict, out.pi0, out.certificate) \
+                == _jacobi_decide(s, m, plan), (s, m)
+        for m, out in outs.items():
+            if out.verdict == "SAT":
+                continue
+            for tr in out.refutation.traces:
+                alive = set(tr.surviving)
+                for _, removed in tr.rounds:
+                    alive.update(removed)
+                kind = type(next(iter(alive)))
+                if kind is OneType:
+                    assert alive == set(enumerate_one_types(sig)), (s, m)
+                for _, removed in tr.rounds:
+                    allowed = frozenset(alive)
+                    for state in removed:
+                        assert find_witness(WitnessContext(
+                            s, tr.pi0, state, allowed), plan) is None, (s, m)
+                    alive -= set(removed)
+                assert kind.root(sig, tr.pi0) not in alive, (s, m)
+                assert set(tr.surviving) == alive, (s, m)
+                replayed += 1
+    assert replayed > 50, replayed
+
+
 def test_plain_survivors_bound_the_extended_elimination(monkeypatch):
     # extended_solve starts each extended elimination from the states
     # whose own type survived the plain one; from all extended states the
@@ -298,8 +357,8 @@ def test_plain_survivors_bound_the_extended_elimination(monkeypatch):
     runs = {}  # pi0 -> survivors of extended_solve's extended elimination
     eliminate = solver._eliminate
 
-    def spy(pi0, states, memo):
-        trace = eliminate(pi0, states, memo)
+    def spy(pi0, states, root, memo):
+        trace = eliminate(pi0, states, root, memo)
         if states and isinstance(states[0], ExtendedType):
             runs[pi0] = trace.surviving
         return trace

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from eae_sat.syntax import (
@@ -17,6 +19,7 @@ from eae_sat.syntax import (
     format_matrix,
     format_sentence,
     parse,
+    _tokenize,
 )
 
 import corpus
@@ -82,6 +85,58 @@ def test_nullary_relation_rejected():
 def test_lexical_error_position():
     with pytest.raises(ParseError, match="offset"):
         parse("exists z. forall x. exists y. (x = y) $")
+
+
+def _tokenize_stepwise(text):
+    """Tokens by one anchored match per token or gap, or the ParseError's
+    message and offset: the tokenizer's reference."""
+    token_re = re.compile(r"(?P<ws>\s+|#[^\n]*)|(?P<tok>[A-Za-z][A-Za-z0-9_]*"
+                          r"|<->|->|!=|=|~|&|\||\(|\)|,|\.)")
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None:
+            return f"unexpected character {text[pos]!r} (at offset {pos})", pos
+        if m.lastgroup == "tok":
+            tokens.append((m.group(), pos))
+        pos = m.end()
+    return tokens + [(None, pos)]
+
+
+def _tokenize_or_error(text):
+    try:
+        return _tokenize(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+def test_tokenizer_matches_stepwise_reference():
+    edge = [
+        "",
+        "# only a comment",
+        "# only a comment\n",
+        "exists z. forall x. exists y. (x = y) # trailing, no newline",
+        "exists z. forall x. exists y. (x = y)  \n\t ",
+        "exists z. forall x. exists y. (x = y) $",
+        "exists z. forall x. exists y. (x = y)\n#",
+        "  \t\n",
+        "$",
+        "P(x) <-> ~Q(y) -> x != y | a_1 & B2(z, x). é",
+        "x - > y < -> z ! = w",
+        "#a\n#b\n\n  P(x)#c",
+    ]
+    texts = list(edge)
+    for s in corpus.corpus(size=80):
+        text = format_sentence(s)
+        texts.append(text)
+        texts.append("# head\n " + text.replace(" ", "\n  # gap\n\t") + " ")
+    for text in texts:
+        assert _tokenize_or_error(text) == _tokenize_stepwise(text), text
+    # the cases above do reach every outcome
+    assert _tokenize("# only a comment") == [(None, 16)]
+    assert _tokenize("P(x)#c")[-1] == (None, 6)
+    with pytest.raises(ParseError, match=r"'\$' \(at offset 38\)"):
+        _tokenize("exists z. forall x. exists y. (x = y) $")
 
 
 def test_inequality_sugar():
