@@ -19,7 +19,6 @@ from .onetypes import (
 )
 from .solver import (
     Certificate,
-    Refutation,
     SolveOutcome,
     bounded_game_solve,
     check_certificate,
@@ -53,7 +52,6 @@ from .witness import (
     WitnessContext,
     WitnessDescriptor,
     check_descriptor,
-    enumerate_witnesses,
     find_witness,
     realized_states,
 )

@@ -83,10 +83,6 @@ class ExtendedType:
         """Projection to all-current-element patterns: the element's 1-type."""
         return OneType(tuple(p[-1] for p in self.patterns))
 
-    def z_type(self):
-        """Projection to all-reference-element patterns: b0's 1-type."""
-        return OneType(tuple(p[0] for p in self.patterns))
-
     def index(self):
         """Canonical position: binary counting over all pattern bits."""
         return sum(1 << j for j, b in enumerate(self.bits) if b)

@@ -97,7 +97,7 @@ def certificate_from_json(obj, sentence):
         strategy=tuple(entries))
 
 
-def refutation_to_json(ref, sig):
+def refutation_to_json(traces, sig):
     return {
         "candidates": [
             {
@@ -109,7 +109,7 @@ def refutation_to_json(ref, sig):
                 ],
                 "surviving": [state_label(s, sig) for s in tr.surviving],
             }
-            for tr in ref.traces
+            for tr in traces
         ]
     }
 

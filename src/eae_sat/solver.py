@@ -76,11 +76,6 @@ class EliminationTrace:
 
 
 @dataclass
-class Refutation:
-    traces: list  # one EliminationTrace per candidate, canonical order
-
-
-@dataclass
 class SolveStats:
     witness_searches: int = 0
     cache_hits: int = 0
@@ -94,7 +89,7 @@ class SolveOutcome:
     method: str  # "gfp" | "game" | "extended"
     pi0: object = None
     certificate: Certificate | None = None
-    refutation: Refutation | None = None
+    refutation: list | None = None  # one EliminationTrace per candidate
     stats: SolveStats = field(default_factory=SolveStats)
 
 
@@ -202,8 +197,7 @@ def _decide(method, memo, eliminate, certify=None):
             break
     else:
         outcome = SolveOutcome(verdict="UNSAT", method=method,
-                               refutation=Refutation(traces=traces),
-                               stats=stats)
+                               refutation=traces, stats=stats)
     stats.witness_searches = memo.searches
     stats.cache_hits = memo.hits
     stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -129,27 +129,6 @@ def eval_sentence(structure, sentence):
     return bool(_models(sentence, 1, _point_extents(structure), structure.size))
 
 
-def eval_sentence_naive(structure, sentence):
-    """Reference evaluation by full assignment enumeration (test oracle)."""
-    if structure.size == 0:
-        raise EmptyUniverseError("sentences have no truth value over an empty universe")
-    rng = range(structure.size)
-    ys = sentence.ys
-
-    def holds(zv):
-        for xv in rng:
-            if not any(
-                eval_qf(structure,
-                        dict(zip((sentence.z, sentence.x) + ys, (zv, xv) + yt)),
-                        sentence.matrix)
-                for yt in product(rng, repeat=len(ys))
-            ):
-                return False
-        return True
-
-    return any(holds(zv) for zv in rng)
-
-
 # ---------------------------------------------------------------------------
 # Descriptor realization
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Compressed witnesses: representation, checking, search, enumeration.
+"""Compressed witnesses: representation, checking, and the search for the
+canonical-first witness.
 
 A witness descriptor stands for a structure of size n+2 together with an
 assignment of the prefix variables: a partition of the variables into
@@ -35,14 +36,6 @@ from .onetypes import OneType, _forced_bit
 from .syntax import PrenexSentence, atoms_of, eval_matrix
 
 
-class WitnessBudgetExceeded(Exception):
-    """Witness enumeration produced more descriptors than the budget allows."""
-
-    def __init__(self, count):
-        self.count = count
-        super().__init__(f"witness enumeration budget exceeded after {count} descriptors")
-
-
 @dataclass(frozen=True)
 class WitnessContext:
     sentence: PrenexSentence
@@ -69,9 +62,6 @@ class WitnessDescriptor:
     @property
     def num_classes(self):
         return len(self.class_states)
-
-    def value_map(self):
-        return {(name, classes): v for name, classes, v in self.atom_values}
 
 
 def realized_states(d):
@@ -133,15 +123,15 @@ class _Partition:
         ext = structures.chunk_extents(self.keys, self.bits, chunk)
         return eval_matrix(self._matrix, ext, self._env, self.full)
 
-    def hits(self, constraint):
-        """(chunk, bitset) for each chunk in which the constraint allows a
-        satisfying valuation, in increasing order."""
+    def first_hit(self, constraint):
+        """(chunk, bitset) for the first chunk in which the constraint
+        allows a satisfying valuation, or None."""
         low, high, fixed = constraint
         if self._nonzero is not None:
             for c in self._nonzero:
                 if c & high == fixed and self._table[c] & low:
-                    yield c, self._table[c] & low
-            return
+                    return c, self._table[c] & low
+            return None
         free, s = self._top & ~high, 0
         while True:  # the chunks fixed | s, s running over subsets of free
             t = self._table.get(fixed | s)
@@ -151,9 +141,9 @@ class _Partition:
                     self._nonzero = [c for c in sorted(self._table) if self._table[c]]
                     self.empty = not self._nonzero
             if t & low:
-                yield fixed | s, t & low
+                return fixed | s, t & low
             if s == free:
-                return
+                return None
             s = (s - free) & free
 
     def meet(self, p, q):
@@ -161,7 +151,7 @@ class _Partition:
         if (p[2] ^ q[2]) & p[1] & q[1]:
             return None
         m = p[0] & q[0], p[1] | q[1], p[2] | q[2]
-        return m if next(self.hits(m), None) else None
+        return m if self.first_hit(m) else None
 
     def mask(self, c, state):
         """The constraint of class c holding `state`: the keys the state
@@ -188,14 +178,12 @@ class _Partition:
         return out
 
     def first_walk(self, start, allowed, ordered):
-        """The first `_walk` item from `start` as a 0- or 1-tuple, shared
-        by every state under test with this start constraint."""
+        """`_walk` from `start`, shared by every state under test with
+        this start constraint."""
         key = start, allowed
-        out = self._first.get(key)
-        if out is None:
-            item = next(_walk(self, ordered, start, 0, ()), None)
-            out = self._first[key] = () if item is None else (item,)
-        return out
+        if key not in self._first:
+            self._first[key] = _walk(self, ordered, start, 0, ())
+        return self._first[key]
 
     def atom_values(self, v):
         return tuple((name, ctuple, bool(v >> slot & 1))
@@ -242,17 +230,9 @@ class SearchPlan:
         return out
 
 
-def _plan_for(ctx, plan):
-    if plan is None:
-        return SearchPlan(ctx.sentence)
-    if plan.sentence is not ctx.sentence and plan.sentence != ctx.sentence:
-        raise ValueError("the search plan was built for another sentence")
-    return plan
-
-
 def _walk(pt, ordered, constraint, depth, combo):
-    """Yield (combo, valuation) for each completion of `combo`, the states
-    of the first `depth` free classes, in canonical order; `constraint`
+    """The first (combo, valuation) completing `combo`, the states of the
+    first `depth` free classes, in canonical order, or None; `constraint`
     is what `combo` allows and `ordered` the allowed states in order.
 
     Depth first, in `product` order: a prefix that allows no satisfying
@@ -260,12 +240,9 @@ def _walk(pt, ordered, constraint, depth, combo):
     failed at the same prefix, since its subtree is the same.
     """
     if depth == len(pt.free_classes):
-        for chunk, t in pt.hits(constraint):
-            while t:
-                bit = t & -t
-                yield combo, chunk << pt.bits | bit.bit_length() - 1
-                t ^= bit
-        return
+        # every constraint walked has passed `meet`, so it has a hit
+        chunk, t = pt.first_hit(constraint)
+        return combo, chunk << pt.bits | (t & -t).bit_length() - 1
     c = pt.free_classes[depth]
     failed = set()
     for s in ordered:
@@ -273,22 +250,28 @@ def _walk(pt, ordered, constraint, depth, combo):
         if mask in failed:
             continue
         sub = pt.meet(constraint, mask)
-        found = False
         if sub is not None:
-            for item in _walk(pt, ordered, sub, depth + 1, combo + (s,)):
-                found = True
-                yield item
-        if not found:
-            failed.add(mask)
+            item = _walk(pt, ordered, sub, depth + 1, combo + (s,))
+            if item is not None:
+                return item
+        failed.add(mask)
+    return None
 
 
-def _search(plan, ctx, first=False):
-    """Yield the valid descriptors for the context in canonical order:
-    all of them, or with `first` each partition's first only."""
+def find_witness(ctx, plan=None):
+    """The canonical-first witness descriptor for the context, or None.
+
+    `plan` is the sentence's SearchPlan, shared across the searches of
+    one solve; without one, a fresh plan is built.
+    """
+    if plan is None:
+        plan = SearchPlan(ctx.sentence)
+    elif plan.sentence is not ctx.sentence and plan.sentence != ctx.sentence:
+        raise ValueError("the search plan was built for another sentence")
     state, allowed = ctx.state, ctx.allowed
     root = plan.root(type(state), ctx.pi0)
     if root not in allowed or state not in allowed:
-        return
+        return None
     ordered = plan.ordered(allowed)
     k = len(plan.sentence.prefix_vars)
 
@@ -302,42 +285,19 @@ def _search(plan, ctx, first=False):
         start = pt.meet(pt.mask(cz, root), pt.mask(cx, state))
         if start is None:
             continue
-        if first:
-            items = pt.first_walk(start, allowed, ordered)
-        else:
-            items = _walk(pt, ordered, start, 0, ())
+        item = pt.first_walk(start, allowed, ordered)
+        if item is None:
+            continue
+        combo, v = item
         states = [None] * pt.nclasses
         states[cz] = root
         states[cx] = state
-        for combo, v in items:
-            for c, s in zip(pt.free_classes, combo):
-                states[c] = s
-            yield WitnessDescriptor(
-                partition=part, class_states=tuple(states),
-                atom_values=pt.atom_values(v), padding_count=k - pt.nclasses)
-
-
-def find_witness(ctx, plan=None):
-    """The canonical-first witness descriptor for the context, or None.
-
-    `plan` is the sentence's SearchPlan, shared across the searches of
-    one solve; without one, a fresh plan is built.
-    """
-    return next(_search(_plan_for(ctx, plan), ctx, first=True), None)
-
-
-def enumerate_witnesses(ctx, budget=10**6, plan=None):
-    """Every valid descriptor for the context, in canonical order.
-
-    Intended for tiny instances; raises WitnessBudgetExceeded beyond the
-    budget.
-    """
-    out = []
-    for d in _search(_plan_for(ctx, plan), ctx):
-        out.append(d)
-        if len(out) > budget:
-            raise WitnessBudgetExceeded(len(out))
-    return out
+        for c, s in zip(pt.free_classes, combo):
+            states[c] = s
+        return WitnessDescriptor(
+            partition=part, class_states=tuple(states),
+            atom_values=pt.atom_values(v), padding_count=k - pt.nclasses)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_initial_extended_type():
 def test_extended_projections():
     for pi0 in enumerate_one_types(SIG_PR):
         for e in enumerate_extended_types(SIG_PR, pi0):
-            assert e.z_type() == pi0
+            assert OneType(tuple(p[0] for p in e.patterns)) == pi0
             assert e.own_type().bits == tuple(p[-1] for p in e.patterns)
 
 

@@ -57,7 +57,7 @@ def test_s2_all_methods(s2):
 def test_s2_refutation_trace(s2):
     out = gfp_solve(s2)
     neg, pos = OneType((False,)), OneType((True,))
-    traces = {t.pi0: t for t in out.refutation.traces}
+    traces = {t.pi0: t for t in out.refutation}
     # pi0 = {-P}: round 1 eliminates {-P}, then the rest collapses
     assert traces[neg].rounds[0] == (1, [neg])
     assert traces[neg].surviving == []
@@ -225,7 +225,7 @@ def test_elimination_monotone():
         if out.refutation is None:
             continue
         total = len(enumerate_one_types(s.signature))
-        for tr in out.refutation.traces:
+        for tr in out.refutation:
             sizes = [total]
             for _, removed in tr.rounds:
                 assert removed
@@ -258,7 +258,7 @@ def test_kinds_agree_on_unary_signatures():
         return [(tr.pi0,
                  [(r, [s.own_type() for s in removed]) for r, removed in tr.rounds],
                  [s.own_type() for s in tr.surviving])
-                for tr in refutation.traces]
+                for tr in refutation]
 
     checked = 0
     for s in corpus.corpus(size=600, seed=7):
@@ -330,7 +330,7 @@ def test_refutations_replay_and_root_first_matches_jacobi(seed):
         for m, out in outs.items():
             if out.verdict == "SAT":
                 continue
-            for tr in out.refutation.traces:
+            for tr in out.refutation:
                 alive = set(tr.surviving)
                 for _, removed in tr.rounds:
                     alive.update(removed)

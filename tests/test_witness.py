@@ -1,7 +1,6 @@
 import gc
 import os
 import weakref
-from itertools import product
 
 import pytest
 
@@ -15,20 +14,19 @@ from eae_sat.onetypes import (
 from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
 from eae_sat import solver, structures, witness
 from eae_sat.solver import extended_solve, gfp_solve
-from eae_sat.syntax import atoms_of, load_sentence, parse
+from eae_sat.syntax import load_sentence, parse
 from eae_sat.witness import (
     SearchPlan,
-    WitnessBudgetExceeded,
     WitnessContext,
     WitnessDescriptor,
     check_descriptor,
-    enumerate_witnesses,
     find_witness,
     realized_states,
 )
 
 import corpus
 from conftest import FIXTURE_DIR, fixture_path
+from naive import candidate_count, naive_witnesses
 
 
 def ctx_for(sentence, pi0, pi, allowed=None):
@@ -63,7 +61,7 @@ def test_s2_no_witness_for_positive_pi0(s2):
     for pi in enumerate_one_types(s2.signature):
         ctx = ctx_for(s2, pos, pi)
         assert find_witness(ctx) is None
-        assert enumerate_witnesses(ctx) == []
+        assert next(naive_witnesses(ctx), None) is None
 
 
 def test_s2_check_descriptor_reports_c5(s2):
@@ -84,10 +82,10 @@ def test_s3_witness(s3):
     d = find_witness(ctx)
     assert d is not None
     assert d.partition == (0, 1, 2)
-    values = d.value_map()
+    values = {(name, ct): v for name, ct, v in d.atom_values}
     assert values[("E", (1, 2))] is True
     assert values[("E", (1, 1))] is False  # forced by the x-class type
-    assert d in enumerate_witnesses(ctx)
+    assert d in naive_witnesses(ctx)
 
 
 def test_s4_witness_distinct_classes(s4):
@@ -96,7 +94,7 @@ def test_s4_witness_distinct_classes(s4):
     assert d is not None
     assert d.partition == (0, 1, 2)
     assert d.class_types == (neg, neg, neg)
-    values = d.value_map()
+    values = {(name, ct): v for name, ct, v in d.atom_values}
     assert values[("R", (0, 1))] is False
     assert values[("R", (0, 2))] is True
 
@@ -124,16 +122,14 @@ def test_equality_atoms_not_in_atom_values(s1):
 # ---------------------------------------------------------------------------
 
 def test_find_is_first_of_enumeration_fixtures(s1, s2, s3, s4, s5):
+    # the naive reference's first witness, on every context
+    found = 0
     for s in (s1, s2, s3, s4, s5):
         for ctx in all_contexts(s):
-            all_ds = enumerate_witnesses(ctx)
             first = find_witness(ctx)
-            if all_ds:
-                assert first == all_ds[0]
-            else:
-                assert first is None
-            for d in all_ds:
-                assert check_descriptor(d, ctx) == []
+            assert first == next(naive_witnesses(ctx), None)
+            found += first is not None
+    assert found
 
 
 def test_realized_types(s3):
@@ -148,28 +144,24 @@ def test_monotonicity_under_shrinking_allowed():
         ts = enumerate_one_types(s.signature)
         for pi0 in ts:
             for pi in ts:
-                full = enumerate_witnesses(ctx_for(s, pi0, pi))
+                full_ctx = ctx_for(s, pi0, pi)
+                full = set(naive_witnesses(full_ctx))
                 sub = [t for t in ts if t in (pi0, pi)]
-                shrunk = enumerate_witnesses(ctx_for(s, pi0, pi, allowed=sub))
-                assert set(shrunk) <= set(full)
+                shrunk_ctx = ctx_for(s, pi0, pi, allowed=sub)
+                assert set(naive_witnesses(shrunk_ctx)) <= full
+                d = find_witness(shrunk_ctx)
+                assert d is None or d in full
 
 
 def test_search_determinism(s3):
     for ctx in all_contexts(s3):
         assert find_witness(ctx) == find_witness(ctx)
-        assert enumerate_witnesses(ctx) == enumerate_witnesses(ctx)
-
-
-def test_enumeration_budget(s3):
-    neg = OneType((False,))
-    with pytest.raises(WitnessBudgetExceeded):
-        enumerate_witnesses(ctx_for(s3, neg, neg), budget=0)
 
 
 def test_descriptors_realize(s3, s4, s5):
     for s in (s3, s4, s5):
         for ctx in all_contexts(s):
-            for d in enumerate_witnesses(ctx):
+            for d in naive_witnesses(ctx):
                 st, assignment = descriptor_to_structure(d, s)
                 assert eval_qf(st, assignment, s.matrix)
                 for c in range(d.num_classes):
@@ -293,8 +285,6 @@ def test_shared_plan_matches_fresh_plans(monkeypatch):
         shared = SearchPlan(s)
         for ctx, want in fresh:
             assert find_witness(ctx, shared) == want
-        for ctx in plain:
-            assert enumerate_witnesses(ctx, plan=shared) == enumerate_witnesses(ctx)
         # another state fills each partition's first-walk memo first
         backward = SearchPlan(s)
         for ctx, want in reversed(fresh):
@@ -410,53 +400,6 @@ def test_plan_rejects_another_sentence(s3, s4):
 # The search against a naive reference
 # ---------------------------------------------------------------------------
 
-def naive_partitions(k):
-    """Restricted-growth strings of length k, reverse lexicographic order."""
-    def canonical(p):
-        return all(c <= max(p[:i], default=-1) + 1 for i, c in enumerate(p))
-    return sorted((p for p in product(range(k), repeat=k) if canonical(p)),
-                  reverse=True)
-
-
-def naive_candidates(ctx):
-    """Every candidate descriptor in canonical order: partitions, then
-    state combos from `product`, then key valuations by binary counting."""
-    s = ctx.sentence
-    root = type(ctx.state).root(s.signature, ctx.pi0)
-    ordered = sorted(ctx.allowed, key=lambda st: st.index())
-    k = len(s.prefix_vars)
-    index = {v: i for i, v in enumerate(s.prefix_vars)}
-    for part in naive_partitions(k):
-        n = max(part) + 1
-        free = [c for c in range(n) if c not in part[:2]]
-        keys = sorted({(a.name, tuple(part[index[v]] for v in a.args))
-                       for a in atoms_of(s.matrix)})
-        for combo in product(ordered, repeat=len(free)):
-            states = dict(zip(free, combo))
-            states[part[0]] = root
-            states[part[1]] = ctx.state
-            class_states = tuple(states[c] for c in range(n))
-            for v in range(1 << len(keys)):
-                yield WitnessDescriptor(
-                    partition=part, class_states=class_states,
-                    atom_values=tuple((name, ct, bool(v >> j & 1))
-                                      for j, (name, ct) in enumerate(keys)),
-                    padding_count=k - n)
-
-
-def candidate_count(ctx):
-    s = ctx.sentence
-    k = len(s.prefix_vars)
-    index = {v: i for i, v in enumerate(s.prefix_vars)}
-    total = 0
-    for part in naive_partitions(k):
-        keys = {(a.name, tuple(part[index[v]] for v in a.args))
-                for a in atoms_of(s.matrix)}
-        free = len(set(part) - set(part[:2]))
-        total += len(ctx.allowed) ** free << len(keys)
-    return total
-
-
 def test_search_matches_naive_reference(monkeypatch):
     # the solver's own contexts, both kinds; the naive reference checks
     # each candidate with check_descriptor alone
@@ -466,31 +409,43 @@ def test_search_matches_naive_reference(monkeypatch):
         for ctx in plain[:3] + ext[:3] + ext[-2:]:
             if candidate_count(ctx) > 1000:
                 continue
-            want = [d for d in naive_candidates(ctx)
-                    if check_descriptor(d, ctx) == []]
-            assert enumerate_witnesses(ctx) == want
-            assert find_witness(ctx) == (want[0] if want else None)
+            assert find_witness(ctx) == next(naive_witnesses(ctx), None)
             checked[type(ctx.state)] += 1
     assert checked[OneType] > 300 and checked[ExtendedType] > 300, checked
 
 
+def satisfying(pt):
+    """The valuations that a partition's evaluated chunks satisfy."""
+    return {c << pt.bits | j for c, t in pt._table.items()
+            for j in range(t.bit_length()) if t >> j & 1}
+
+
 @pytest.mark.parametrize("bits", [1, 3])
 def test_chunked_tables_match_one_table(monkeypatch, bits):
-    # tables split into 2**bits-bit chunks give the same descriptors
+    # tables split into 2**bits-bit chunks give the same witnesses, and
+    # each built partition's chunks, evaluated whole, the same satisfying
+    # valuations as its one table
     cases = []
     for s in plan_sentences()[:120]:
         plain, ext = solver_contexts(s, monkeypatch)
         cases += [(s, ctx) for ctx in plain[:4] + ext[:4]]
-    default = [enumerate_witnesses(ctx, plan=SearchPlan(s)) for s, ctx in cases]
-    monkeypatch.setattr(structures, "_CHUNK_BITS", bits)
+    default = [find_witness(ctx) for _, ctx in cases]
     plans = {}
-    for (s, ctx), want in zip(cases, default):
-        plan = plans.setdefault(s, SearchPlan(s))
-        assert enumerate_witnesses(ctx, plan=plan) == want
-        assert find_witness(ctx, plan) == (want[0] if want else None)
-    widths = [t.bit_length() for plan in plans.values()
-              for i in range(len(plan.parts))
-              for t in plan.partition(i)._table.values()]
+    with monkeypatch.context() as m:
+        m.setattr(structures, "_CHUNK_BITS", bits)
+        for (s, ctx), want in zip(cases, default):
+            plan = plans.setdefault(s, SearchPlan(s))
+            assert find_witness(ctx, plan) == want
+    widths = []
+    for s, plan in plans.items():
+        whole = SearchPlan(s)
+        for i, pt in plan._built.items():
+            one = whole.partition(i)
+            assert one.bits == len(one.keys)  # a single chunk
+            for p in (pt, one):
+                p.first_hit((0, 0, 0))  # allows nothing: evaluates every chunk
+            assert satisfying(pt) == satisfying(one)
+            widths += [t.bit_length() for t in pt._table.values()]
     assert widths and max(widths) <= 1 << bits
 
 
