@@ -49,11 +49,9 @@ from .syntax import (
 )
 from .witness import (
     SearchPlan,
-    WitnessContext,
     WitnessDescriptor,
     check_descriptor,
     find_witness,
-    realized_states,
 )
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ w over {b0, a}.  Pattern indices are integers whose bit j says whether
 argument j is the current element (1) or the reference element (0).
 
 Both kinds of state share what the witness search reads: `bits`, a flat
-bit tuple; `index()`, the canonical position; `own_type()`, the
-element's 1-type; and `root(sig, pi0)`, the state of b0 itself.
+bit tuple; `index()`, the canonical position; and `own_type()`, the
+element's 1-type.  The solver picks the state of b0 itself, the root:
+pi0, or `initial_extended_type(sig, pi0)`.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class OneType:
     def own_type(self):
         return self
 
-    @staticmethod
-    def root(sig, pi0):
-        """The state of b0 itself: pi0."""
-        return pi0
-
 
 @dataclass(frozen=True)
 class ExtendedType:
@@ -86,11 +82,6 @@ class ExtendedType:
     def index(self):
         """Canonical position: binary counting over all pattern bits."""
         return sum(1 << j for j, b in enumerate(self.bits) if b)
-
-    @staticmethod
-    def root(sig, pi0):
-        """The state of b0 itself: every pattern is b0's diagonal."""
-        return initial_extended_type(sig, pi0)
 
 
 def _forced_bit(sig, name, ctuple, cz, kind):
@@ -183,6 +174,8 @@ def one_type_from_symbols(symbols, sig):
     for s in symbols:
         if not s or s[0] not in "+-":
             raise ValueError(f"bad signed symbol {s!r}")
+        if s[1:] in values:
+            raise ValueError(f"relation {s[1:]} named twice in type")
         values[s[1:]] = s[0] == "+"
     bits = []
     for name, _ in sig:

@@ -34,18 +34,12 @@ from functools import cached_property
 
 from .onetypes import (
     DEFAULT_ARITY_CAP,
-    ExtendedType,
     check_arity_cap,
     enumerate_extended_types,
     enumerate_one_types,
+    initial_extended_type,
 )
-from .witness import (
-    CheckFrames,
-    SearchPlan,
-    WitnessContext,
-    check_descriptor,
-    find_witness,
-)
+from .witness import CheckFrames, SearchPlan, check_descriptor, find_witness
 
 class InternalInvariantError(Exception):
     """A solver-produced artifact failed its own self-check."""
@@ -94,9 +88,10 @@ class SolveOutcome:
 
 
 class Memo:
-    """Witness searches memoized by (pi0, state, allowed-set).
+    """Witness searches memoized by (root, state, allowed-set).
 
-    A state is a 1-type or an extended type; the search follows its kind.
+    The root is z's own state: pi0 among 1-types, the initial extended
+    type among extended types.  The search follows the state's kind.
     Every search runs through one SearchPlan, built at the first search,
     which lives as long as the memo.  Solves of one sentence may share a
     memo: each answer is searched once, while `begin` starts a solve's
@@ -122,8 +117,8 @@ class Memo:
         self.searches = 0
         self.hits = 0
 
-    def find(self, pi0, state, allowed):
-        key = (pi0, state, allowed)
+    def find(self, root, state, allowed):
+        key = (root, state, allowed)
         entry = self.table.get(key)
         if entry is not None and entry[1] == self.solve:
             self.hits += 1
@@ -131,8 +126,7 @@ class Memo:
         self.searches += 1
         if entry is None:
             entry = self.table[key] = [find_witness(
-                WitnessContext(self.sentence, pi0, state, allowed),
-                self.plan), self.solve]
+                self.plan, root, state, allowed), self.solve]
         entry[1] = self.solve
         return entry[0]
 
@@ -153,14 +147,14 @@ def _eliminate(pi0, states, root, memo):
     rounds = []
     while True:
         allowed = frozenset(good)
-        if memo.find(pi0, root, allowed) is None:
+        if memo.find(root, root, allowed) is None:
             rounds.append((len(rounds) + 1, [root]))
             rest = [s for s in good if s != root]
             if rest:
                 rounds.append((len(rounds) + 1, rest))
             return EliminationTrace(pi0=pi0, rounds=rounds, surviving=[])
         removed = [s for s in good
-                   if s != root and memo.find(pi0, s, allowed) is None]
+                   if s != root and memo.find(root, s, allowed) is None]
         if not removed:
             return EliminationTrace(pi0=pi0, rounds=rounds, surviving=good)
         rounds.append((len(rounds) + 1, removed))
@@ -270,7 +264,7 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
         good = set(trace.surviving)
         states = [s for s in enumerate_extended_types(sig, pi0, cap=arity_cap)
                   if s.own_type() in good]
-        return _eliminate(pi0, states, ExtendedType.root(sig, pi0), memo)
+        return _eliminate(pi0, states, initial_extended_type(sig, pi0), memo)
 
     return _decide("extended", memo, eliminate,
                    lambda pi0, _: _certificate(pi0, plain[pi0], memo))
@@ -295,9 +289,7 @@ def check_certificate(sentence, cert):
     if cert.pi0 not in keys:
         violations.append("pi0 is not covered by the strategy")
     for pi, d in cert.strategy:
-        ctx = WitnessContext(sentence=sentence, pi0=cert.pi0, state=pi,
-                             allowed=keys)
-        for v in check_descriptor(d, ctx, frames):
+        for v in check_descriptor(d, frames, cert.pi0, pi, keys):
             violations.append(f"entry {pi.bits}: {v}")
     return violations
 

@@ -88,7 +88,9 @@ class Iff:
     right: object
 
 
-_BINOPS = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
+# binary operators, loosest first; each level chains to the left
+_LEVELS = (("<->", Iff), ("->", Imp), ("|", Or), ("&", And))
+_BINOPS = {cls: op for op, cls in _LEVELS}
 
 
 @dataclass(frozen=True)
@@ -279,32 +281,15 @@ class _Parser:
 
     # -- formula ----------------------------------------------------------
 
-    def formula(self):
-        node = self.imp()
-        while self.peek() == "<->":
+    def formula(self, level=0):
+        """A chain of `_LEVELS[level]` operators.  The last level calls
+        `lit` itself: a parenthesis costs one frame per level, plus one."""
+        op, cls = _LEVELS[level]
+        last = level == len(_LEVELS) - 1
+        node = self.lit() if last else self.formula(level + 1)
+        while self.peek() == op:
             self.next()
-            node = Iff(node, self.imp())
-        return node
-
-    def imp(self):
-        node = self.disj()
-        while self.peek() == "->":
-            self.next()
-            node = Imp(node, self.disj())
-        return node
-
-    def disj(self):
-        node = self.conj()
-        while self.peek() == "|":
-            self.next()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self):
-        node = self.lit()
-        while self.peek() == "&":
-            self.next()
-            node = And(node, self.lit())
+            node = cls(node, self.lit() if last else self.formula(level + 1))
         return node
 
     def lit(self):

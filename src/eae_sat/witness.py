@@ -9,9 +9,9 @@ keyed by (relation, class tuple).  Equality atoms are decided by the
 partition itself, and congruence is baked in by the class-tuple keying.
 
 A state is a 1-type or a z-relative extended type; one search and one
-checker serve both kinds.  The z-class holds the kind's root (pi0, or
-the initial extended type), the x-class the state under test, and the
-state's kind decides which atom keys a class state forces.
+checker serve both kinds.  The z-class holds the root the caller gives
+(pi0, or the initial extended type), the x-class the state under test,
+and the state's kind decides which atom keys a class state forces.
 
 Search order is fixed so that "the" witness for a context is well
 defined: partitions of (z, x, y1, ...) as restricted-growth strings in
@@ -32,16 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import structures
-from .onetypes import OneType, _forced_bit
-from .syntax import PrenexSentence, atoms_of, eval_matrix
-
-
-@dataclass(frozen=True)
-class WitnessContext:
-    sentence: PrenexSentence
-    pi0: OneType
-    state: object  # OneType or ExtendedType; its kind is the search's
-    allowed: frozenset  # states of the same kind
+from .onetypes import _forced_bit
+from .syntax import atoms_of, eval_matrix
 
 
 @dataclass(frozen=True)
@@ -62,14 +54,6 @@ class WitnessDescriptor:
     @property
     def num_classes(self):
         return len(self.class_states)
-
-
-def realized_states(d):
-    """The states realized by the descriptor's elements.
-
-    Padding elements duplicate the z-class and add nothing.
-    """
-    return frozenset(d.class_states)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +177,9 @@ class _Partition:
 class SearchPlan:
     """What every witness search for one sentence shares, settled once:
     each partition with its table, masks and first walks, built when a
-    search first reaches it; the root per (kind, pi0) and the canonical
-    order of each allowed set.  Searches through one plan give the
-    descriptors fresh plans give.
+    search first reaches it, and the canonical order of each allowed
+    set.  Searches through one plan give the descriptors fresh plans
+    give.
     """
 
     def __init__(self, sentence):
@@ -204,7 +188,6 @@ class SearchPlan:
         self.parts = _partitions(len(sentence.prefix_vars))
         self._built = {}  # index into parts -> its _Partition
         self._ordered = {}  # allowed state set -> its members in canonical order
-        self._roots = {}  # (state kind, pi0) -> the z-class state
 
     def partition(self, i):
         """The _Partition of `parts[i]`, built when first reached."""
@@ -220,13 +203,6 @@ class SearchPlan:
             # bits from the last: the order of index(), without the sums
             out = self._ordered[allowed] = sorted(
                 allowed, key=lambda s: s.bits[::-1])
-        return out
-
-    def root(self, kind, pi0):
-        """The state of z itself for states of `kind`."""
-        out = self._roots.get((kind, pi0))
-        if out is None:
-            out = self._roots[kind, pi0] = kind.root(self.sentence.signature, pi0)
         return out
 
 
@@ -258,18 +234,11 @@ def _walk(pt, ordered, constraint, depth, combo):
     return None
 
 
-def find_witness(ctx, plan=None):
-    """The canonical-first witness descriptor for the context, or None.
-
-    `plan` is the sentence's SearchPlan, shared across the searches of
-    one solve; without one, a fresh plan is built.
+def find_witness(plan, root, state, allowed):
+    """The canonical-first witness descriptor for `state`, or None: z's
+    class holds `root`, every class a state of `allowed`, and `plan` is
+    the sentence's SearchPlan, shared across the searches of one solve.
     """
-    if plan is None:
-        plan = SearchPlan(ctx.sentence)
-    elif plan.sentence is not ctx.sentence and plan.sentence != ctx.sentence:
-        raise ValueError("the search plan was built for another sentence")
-    state, allowed = ctx.state, ctx.allowed
-    root = plan.root(type(state), ctx.pi0)
     if root not in allowed or state not in allowed:
         return None
     ordered = plan.ordered(allowed)
@@ -335,17 +304,17 @@ class CheckFrames:
         return out
 
 
-def check_descriptor(d, ctx, frames=None):
-    """All violations of the descriptor invariants; empty list means valid.
+def check_descriptor(d, frames, root, state, allowed):
+    """All violations of the invariants of a witness for `state` whose
+    z-class holds `root` and whose classes hold states of `allowed`;
+    empty means valid.  `frames` is the sentence's CheckFrames, which the
+    descriptors of one certificate share.
 
     Each key a class state forces is checked once: as C2 if it is
-    diagonal, as C7 if only an extended type fixes it.  `frames`, the
-    CheckFrames of the context's sentence, lets the descriptors of one
-    certificate share that work; without it, fresh frames are built.
+    diagonal, as C7 if only an extended type fixes it.
     """
-    frames = frames or CheckFrames(ctx.sentence)
-    sentence = ctx.sentence
-    kind = type(ctx.state)
+    sentence = frames.sentence
+    kind = type(state)
     violations = []
     k = len(sentence.prefix_vars)
 
@@ -401,15 +370,16 @@ def check_descriptor(d, ctx, frames=None):
                 f"C7: atom ({name}, {ctuple}) valued {got}, "
                 f"extended type dictates {want}")
 
-    if d.class_states[cz] != kind.root(sentence.signature, ctx.pi0):
+    if d.class_states[cz] != root:
         violations.append("C4: z-class type differs from pi0")
-    if d.class_states[cx] != ctx.state:
+    if d.class_states[cx] != state:
         violations.append("C4: x-class type differs from pi")
 
     if not eval_matrix(sentence.matrix, ext, env):
         violations.append("C5: matrix is not satisfied by the induced valuation")
 
-    extra = realized_states(d) - ctx.allowed
+    # padding elements duplicate the z-class and realize nothing new
+    extra = set(d.class_states) - allowed
     if extra:
         violations.append(
             f"closure: {len(extra)} realized type(s) outside the allowed set")

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))  # for the corpus helper
 
 from eae_sat import parse
+from eae_sat.witness import CheckFrames, SearchPlan, check_descriptor, find_witness
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -43,3 +44,17 @@ def s5():
 
 def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name)
+
+
+# A witness-search context is a (sentence, root, state, allowed) tuple.
+
+def search(ctx, plan=None):
+    """find_witness on a context, through `plan` or a fresh SearchPlan."""
+    sentence, root, state, allowed = ctx
+    return find_witness(plan or SearchPlan(sentence), root, state, allowed)
+
+
+def check(d, ctx):
+    """check_descriptor on a context, with fresh CheckFrames."""
+    sentence, root, state, allowed = ctx
+    return check_descriptor(d, CheckFrames(sentence), root, state, allowed)

@@ -22,11 +22,11 @@ def naive_partitions(k):
 
 
 def naive_candidates(ctx):
-    """Every candidate descriptor in canonical order: partitions, then
-    state combos from `product`, then key valuations by binary counting."""
-    s = ctx.sentence
-    root = type(ctx.state).root(s.signature, ctx.pi0)
-    ordered = sorted(ctx.allowed, key=lambda st: st.index())
+    """Every candidate descriptor for a (sentence, root, state, allowed)
+    context in canonical order: partitions, then state combos from
+    `product`, then key valuations by binary counting."""
+    s, root, state, allowed = ctx
+    ordered = sorted(allowed, key=lambda st: st.index())
     k = len(s.prefix_vars)
     index = {v: i for i, v in enumerate(s.prefix_vars)}
     for part in naive_partitions(k):
@@ -37,7 +37,7 @@ def naive_candidates(ctx):
         for combo in product(ordered, repeat=len(free)):
             states = dict(zip(free, combo))
             states[part[0]] = root
-            states[part[1]] = ctx.state
+            states[part[1]] = state
             class_states = tuple(states[c] for c in range(n))
             for v in range(1 << len(keys)):
                 yield WitnessDescriptor(
@@ -49,13 +49,14 @@ def naive_candidates(ctx):
 
 def naive_witnesses(ctx):
     """The candidates `check_descriptor` accepts, in canonical order."""
-    frames = CheckFrames(ctx.sentence)
+    sentence, root, state, allowed = ctx
+    frames = CheckFrames(sentence)
     return (d for d in naive_candidates(ctx)
-            if check_descriptor(d, ctx, frames) == [])
+            if check_descriptor(d, frames, root, state, allowed) == [])
 
 
 def candidate_count(ctx):
-    s = ctx.sentence
+    s, _, _, allowed = ctx
     k = len(s.prefix_vars)
     index = {v: i for i, v in enumerate(s.prefix_vars)}
     total = 0
@@ -63,7 +64,7 @@ def candidate_count(ctx):
         keys = {(a.name, tuple(part[index[v]] for v in a.args))
                 for a in atoms_of(s.matrix)}
         free = len(set(part) - set(part[:2]))
-        total += len(ctx.allowed) ** free << len(keys)
+        total += len(allowed) ** free << len(keys)
     return total
 
 

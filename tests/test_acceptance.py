@@ -34,7 +34,7 @@ from eae_sat.syntax import parse
 from eae_sat.witness import WitnessDescriptor, find_witness
 
 import corpus
-from conftest import fixture_path
+from conftest import fixture_path, search
 from naive import naive_witnesses
 
 METHODS = ("gfp", "game", "extended")
@@ -63,9 +63,9 @@ def corpus_outcomes(corpus_200):
     """gfp outcomes plus every witness-search context they visited."""
     outs, contexts = [], []
 
-    def recorded(ctx, plan=None):
-        contexts.append(ctx)
-        return find_witness(ctx, plan)
+    def recorded(plan, root, state, allowed):
+        contexts.append((plan.sentence, root, state, allowed))
+        return find_witness(plan, root, state, allowed)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "find_witness", recorded)
@@ -135,7 +135,7 @@ def test_criterion_4_no_false_unsat(corpus_200, corpus_outcomes):
 def test_criterion_5_witness_search_completeness(corpus_outcomes):
     _, contexts = corpus_outcomes
     # against the naive reference's first witness
-    bad = sum(find_witness(ctx) != next(naive_witnesses(ctx), None)
+    bad = sum(search(ctx) != next(naive_witnesses(ctx), None)
               for ctx in contexts)
     report(5, bad == 0, f"{len(contexts)} contexts")
 
@@ -226,12 +226,13 @@ def test_criterion_8_realization_law(corpus_outcomes):
     for ctx in contexts:
         if sampled >= 1000:
             break
+        sentence = ctx[0]
         for d in naive_witnesses(ctx):
             if sampled >= 1000:
                 break
             sampled += 1
-            st, assignment = descriptor_to_structure(d, ctx.sentence)
-            if not eval_qf(st, assignment, ctx.sentence.matrix):
+            st, assignment = descriptor_to_structure(d, sentence)
+            if not eval_qf(st, assignment, sentence.matrix):
                 bad += 1
                 continue
             if any(type_of_element(st, c) != d.class_types[c]

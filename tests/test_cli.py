@@ -371,8 +371,9 @@ def test_certify_rejects_tampered(tmp_path):
         assert code == 4, (field, value)
         assert out.startswith("malformed certificate:"), (field, value, out)
 
-    # a variable outside the prefix, a class id outside 0..n-1, and a
-    # type listed twice: the solver writes none of them
+    # a variable outside the prefix, a class id outside 0..n-1, a type
+    # listed twice, and a type naming a relation twice: the solver writes
+    # none of them
     def extra_variable(c):
         c["strategy"][0]["descriptor"]["partition"]["w"] = 0
 
@@ -383,7 +384,12 @@ def test_certify_rejects_tampered(tmp_path):
     def repeated_type(c):
         c["strategy"].append(c["strategy"][0])
 
-    for tamper in (extra_variable, extra_class, repeated_type):
+    def repeated_relation(c):
+        c["pi0"] = ["+E", "-E"]
+        c["strategy"][0]["descriptor"]["class_types"]["0"] = ["+E", "-E"]
+
+    for tamper in (extra_variable, extra_class, repeated_type,
+                   repeated_relation):
         cert = json.loads(json.dumps(base))
         tamper(cert)
         cert_path.write_text(json.dumps(cert))

@@ -10,6 +10,7 @@ from eae_sat.onetypes import (
     OneType,
     enumerate_extended_types,
     enumerate_one_types,
+    initial_extended_type,
 )
 from eae_sat.serialize import certificate_from_json, certificate_to_json
 from eae_sat.solver import (
@@ -22,13 +23,7 @@ from eae_sat.solver import (
 )
 from eae_sat.structures import brute_force_search
 from eae_sat.syntax import load_sentence, parse
-from eae_sat.witness import (
-    SearchPlan,
-    WitnessContext,
-    WitnessDescriptor,
-    find_witness,
-    realized_states,
-)
+from eae_sat.witness import SearchPlan, WitnessDescriptor, find_witness
 
 import corpus
 from conftest import fixture_path
@@ -169,7 +164,7 @@ def test_certificate_closure_violation():
             for pi, d in kept:
                 lines = [v for v in bad
                          if v.startswith(f"entry {pi.bits}:") and "closure" in v]
-                broken = dropped in realized_states(d)
+                broken = dropped in d.class_states
                 assert len(lines) == (1 if broken else 0), (s, pi, lines)
                 broken_total += broken
     assert broken_total > 0
@@ -272,13 +267,13 @@ def test_kinds_agree_on_unary_signatures():
     assert checked > 300
 
 
-def _survivors(sentence, pi0, states, plan):
+def _survivors(plan, root, states):
     """The elimination fixpoint from `states`, apart from the solver's."""
     good = list(states)
     while True:
         allowed = frozenset(good)
-        kept = [s for s in good if find_witness(
-            WitnessContext(sentence, pi0, s, allowed), plan) is not None]
+        kept = [s for s in good
+                if find_witness(plan, root, s, allowed) is not None]
         if kept == good:
             return good
         good = kept
@@ -296,20 +291,19 @@ def _jacobi_decide(sentence, method, plan):
     sig = sentence.signature
     types = enumerate_one_types(sig)
     for pi0 in types:
-        plain = _survivors(sentence, pi0, types, plan)
+        plain = _survivors(plan, pi0, types)
         if pi0 not in plain:
             continue
         if method == "extended":
             good = set(plain)
             states = [e for e in enumerate_extended_types(sig, pi0)
                       if e.own_type() in good]
-            if ExtendedType.root(sig, pi0) not in _survivors(
-                    sentence, pi0, states, plan):
+            root = initial_extended_type(sig, pi0)
+            if root not in _survivors(plan, root, states):
                 continue
         allowed = frozenset(plain)
         return "SAT", pi0, Certificate(pi0=pi0, strategy=tuple(
-            (pi, find_witness(WitnessContext(sentence, pi0, pi, allowed), plan))
-            for pi in plain))
+            (pi, find_witness(plan, pi0, pi, allowed)) for pi in plain))
     return "UNSAT", None, None
 
 
@@ -334,16 +328,18 @@ def test_refutations_replay_and_root_first_matches_jacobi(seed):
                 alive = set(tr.surviving)
                 for _, removed in tr.rounds:
                     alive.update(removed)
-                kind = type(next(iter(alive)))
-                if kind is OneType:
+                if type(next(iter(alive))) is OneType:
                     assert alive == set(enumerate_one_types(sig)), (s, m)
+                    root = tr.pi0
+                else:
+                    root = initial_extended_type(sig, tr.pi0)
                 for _, removed in tr.rounds:
                     allowed = frozenset(alive)
                     for state in removed:
-                        assert find_witness(WitnessContext(
-                            s, tr.pi0, state, allowed), plan) is None, (s, m)
+                        assert find_witness(plan, root, state, allowed) \
+                            is None, (s, m)
                     alive -= set(removed)
-                assert kind.root(sig, tr.pi0) not in alive, (s, m)
+                assert root not in alive, (s, m)
                 assert set(tr.surviving) == alive, (s, m)
                 replayed += 1
     assert replayed > 50, replayed
@@ -373,12 +369,13 @@ def test_plain_survivors_bound_the_extended_elimination(monkeypatch):
             sig = s.signature
             tried = _tried(out, sig)
             for pi0 in enumerate_one_types(sig):
-                plain = _survivors(s, pi0, enumerate_one_types(sig), plan)
-                full = _survivors(s, pi0, enumerate_extended_types(sig, pi0),
-                                  plan)
+                plain = _survivors(plan, pi0, enumerate_one_types(sig))
+                root = initial_extended_type(sig, pi0)
+                full = _survivors(plan, root,
+                                  enumerate_extended_types(sig, pi0))
                 assert {e.own_type() for e in full} <= set(plain), (s, pi0)
                 if pi0 not in plain:
-                    assert ExtendedType.root(sig, pi0) not in full, (s, pi0)
+                    assert root not in full, (s, pi0)
                     assert pi0 not in runs, (s, pi0)
                     rejected += pi0 in tried
                 elif pi0 in tried:
@@ -399,7 +396,7 @@ def test_plain_rejected_candidates_enumerate_no_extended_types(monkeypatch):
         out = extended_solve(s)
         plan = SearchPlan(s)
         for pi0 in _tried(out, s.signature):
-            plain = _survivors(s, pi0, enumerate_one_types(s.signature), plan)
+            plain = _survivors(plan, pi0, enumerate_one_types(s.signature))
             assert calls.count(pi0) == (pi0 in plain), (s, pi0)
             rejected += pi0 not in plain
     assert rejected > 100, rejected
@@ -415,7 +412,7 @@ def test_shared_memo_gives_each_solve_its_own_outcome(monkeypatch):
     find = solver.find_witness
     enum = solver.enumerate_one_types
     monkeypatch.setattr(solver, "find_witness",
-                        lambda ctx, plan=None: calls.append(ctx) or find(ctx, plan))
+                        lambda plan, *key: calls.append(key) or find(plan, *key))
     monkeypatch.setattr(solver, "enumerate_one_types",
                         lambda sig: enums.append(sig) or enum(sig))
     saved = 0

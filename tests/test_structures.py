@@ -20,9 +20,9 @@ from eae_sat.structures import (
     verify_construction,
 )
 from eae_sat.syntax import Signature, parse
-from eae_sat.witness import WitnessContext, find_witness
 
 import corpus
+from conftest import search
 from naive import eval_sentence_naive, naive_witnesses
 
 SIG_R = Signature((("R", 2),))
@@ -139,7 +139,7 @@ def test_oracle_and_eval_sentence_use_eval_matrix(monkeypatch, s3):
 def test_descriptor_to_structure_s3(s3):
     neg = OneType((False,))
     ts = frozenset(enumerate_one_types(s3.signature))
-    d = find_witness(WitnessContext(s3, neg, neg, ts))
+    d = search((s3, neg, neg, ts))
     st, f = descriptor_to_structure(d, s3)
     assert st.size == 3
     assert st.extents["E"] == frozenset({(1, 2)})
@@ -149,7 +149,7 @@ def test_descriptor_to_structure_s3(s3):
 
 def test_descriptor_to_structure_s1_padding(s1):
     empty = OneType(())
-    d = find_witness(WitnessContext(s1, empty, empty, frozenset({empty})))
+    d = search((s1, empty, empty, frozenset({empty})))
     st, f = descriptor_to_structure(d, s1)
     assert st.size == 3  # z-class, merged x=y class, one padding element
     assert f["x"] == f["y"]
@@ -159,7 +159,7 @@ def test_descriptor_to_structure_s1_padding(s1):
 def test_descriptor_to_structure_s4(s4):
     neg = OneType((False,))
     ts = frozenset(enumerate_one_types(s4.signature))
-    d = find_witness(WitnessContext(s4, neg, neg, ts))
+    d = search((s4, neg, neg, ts))
     st, f = descriptor_to_structure(d, s4)
     assert st.extents["R"] == frozenset({(0, 2)})
     assert f == {"z": 0, "x": 1, "y": 2}
@@ -329,7 +329,7 @@ def test_realization_law_over_enumerations():
         ts = enumerate_one_types(s.signature)
         for pi0 in ts:
             for pi in ts:
-                ctx = WitnessContext(s, pi0, pi, frozenset(ts))
+                ctx = (s, pi0, pi, frozenset(ts))
                 for d in itertools.islice(naive_witnesses(ctx), 5):
                     st, f = descriptor_to_structure(d, s)
                     assert eval_qf(st, f, s.matrix)

@@ -160,6 +160,16 @@ def test_precedence():
     # ~ > & > | > -> > <-> with left-folded repetition
     assert format_matrix(s.matrix) == \
         "((((P(x) & P(y)) | P(z)) -> P(x)) <-> P(y))"
+    # each operator chains to the left, and binds inside the looser ones
+    for text, want in (
+            ("P(x) -> P(y) -> P(z)", "((P(x) -> P(y)) -> P(z))"),
+            ("P(x) <-> P(y) <-> P(z)", "((P(x) <-> P(y)) <-> P(z))"),
+            ("P(x) | P(y) | P(z)", "((P(x) | P(y)) | P(z))"),
+            ("P(x) & P(y) & P(z)", "((P(x) & P(y)) & P(z))"),
+            ("P(x) <-> P(y) -> P(z) | ~P(x) & P(y)",
+             "(P(x) <-> (P(y) -> (P(z) | ((~P(x)) & P(y)))))")):
+        s = parse(f"exists z. forall x. exists y. ({text})")
+        assert format_matrix(s.matrix) == want, text
 
 
 def test_roundtrip_fixtures(s1, s2, s3, s4, s5):

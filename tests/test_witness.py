@@ -15,24 +15,18 @@ from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
 from eae_sat import solver, structures, witness
 from eae_sat.solver import extended_solve, gfp_solve
 from eae_sat.syntax import load_sentence, parse
-from eae_sat.witness import (
-    SearchPlan,
-    WitnessContext,
-    WitnessDescriptor,
-    check_descriptor,
-    find_witness,
-    realized_states,
-)
+from eae_sat.witness import SearchPlan, WitnessDescriptor, find_witness
 
 import corpus
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, check, fixture_path, search
 from naive import candidate_count, naive_witnesses
 
 
 def ctx_for(sentence, pi0, pi, allowed=None):
+    """The context of 1-type `pi`, whose root is pi0."""
     ts = enumerate_one_types(sentence.signature)
-    return WitnessContext(sentence=sentence, pi0=pi0, state=pi,
-                          allowed=frozenset(allowed if allowed is not None else ts))
+    return (sentence, pi0, pi,
+            frozenset(allowed if allowed is not None else ts))
 
 
 def all_contexts(sentence):
@@ -48,19 +42,19 @@ def all_contexts(sentence):
 
 def test_s1_witness_merges_x_and_y(s1):
     empty = OneType(())
-    d = find_witness(ctx_for(s1, empty, empty))
+    d = search(ctx_for(s1, empty, empty))
     assert d is not None
     # x and y share a class (the equality forces it), z stays apart
     assert d.partition == (0, 1, 1)
     assert d.padding_count == 1
-    assert check_descriptor(d, ctx_for(s1, empty, empty)) == []
+    assert check(d, ctx_for(s1, empty, empty)) == []
 
 
 def test_s2_no_witness_for_positive_pi0(s2):
     pos = OneType((True,))
     for pi in enumerate_one_types(s2.signature):
         ctx = ctx_for(s2, pos, pi)
-        assert find_witness(ctx) is None
+        assert search(ctx) is None
         assert next(naive_witnesses(ctx), None) is None
 
 
@@ -72,14 +66,14 @@ def test_s2_check_descriptor_reports_c5(s2):
         class_states=(pos, pos, neg),
         atom_values=(("P", (0,), True), ("P", (1,), True)),
         padding_count=0)
-    bad = check_descriptor(d, ctx_for(s2, pos, pos))
+    bad = check(d, ctx_for(s2, pos, pos))
     assert any(v.startswith("C5") for v in bad)
 
 
 def test_s3_witness(s3):
     neg = OneType((False,))
     ctx = ctx_for(s3, neg, neg)
-    d = find_witness(ctx)
+    d = search(ctx)
     assert d is not None
     assert d.partition == (0, 1, 2)
     values = {(name, ct): v for name, ct, v in d.atom_values}
@@ -90,7 +84,7 @@ def test_s3_witness(s3):
 
 def test_s4_witness_distinct_classes(s4):
     neg = OneType((False,))
-    d = find_witness(ctx_for(s4, neg, neg))
+    d = search(ctx_for(s4, neg, neg))
     assert d is not None
     assert d.partition == (0, 1, 2)
     assert d.class_types == (neg, neg, neg)
@@ -102,18 +96,18 @@ def test_s4_witness_distinct_classes(s4):
 def test_c4_violation_detected(s3):
     neg, pos = OneType((False,)), OneType((True,))
     ctx = ctx_for(s3, neg, neg)
-    d = find_witness(ctx)
+    d = search(ctx)
     retyped = WitnessDescriptor(
         partition=d.partition,
         class_states=(d.class_states[0], pos) + d.class_states[2:],
         atom_values=d.atom_values,
         padding_count=d.padding_count)
-    assert any(v.startswith("C4") for v in check_descriptor(retyped, ctx))
+    assert any(v.startswith("C4") for v in check(retyped, ctx))
 
 
 def test_equality_atoms_not_in_atom_values(s1):
     empty = OneType(())
-    d = find_witness(ctx_for(s1, empty, empty))
+    d = search(ctx_for(s1, empty, empty))
     assert d.atom_values == ()
 
 
@@ -126,7 +120,7 @@ def test_find_is_first_of_enumeration_fixtures(s1, s2, s3, s4, s5):
     found = 0
     for s in (s1, s2, s3, s4, s5):
         for ctx in all_contexts(s):
-            first = find_witness(ctx)
+            first = search(ctx)
             assert first == next(naive_witnesses(ctx), None)
             found += first is not None
     assert found
@@ -134,8 +128,8 @@ def test_find_is_first_of_enumeration_fixtures(s1, s2, s3, s4, s5):
 
 def test_realized_types(s3):
     neg = OneType((False,))
-    d = find_witness(ctx_for(s3, neg, neg))
-    assert realized_states(d) == frozenset({neg})
+    d = search(ctx_for(s3, neg, neg))
+    assert set(d.class_states) == {neg}
 
 
 def test_monotonicity_under_shrinking_allowed():
@@ -149,13 +143,13 @@ def test_monotonicity_under_shrinking_allowed():
                 sub = [t for t in ts if t in (pi0, pi)]
                 shrunk_ctx = ctx_for(s, pi0, pi, allowed=sub)
                 assert set(naive_witnesses(shrunk_ctx)) <= full
-                d = find_witness(shrunk_ctx)
+                d = search(shrunk_ctx)
                 assert d is None or d in full
 
 
 def test_search_determinism(s3):
     for ctx in all_contexts(s3):
-        assert find_witness(ctx) == find_witness(ctx)
+        assert search(ctx) == search(ctx)
 
 
 def test_descriptors_realize(s3, s4, s5):
@@ -173,29 +167,31 @@ def test_descriptors_realize(s3, s4, s5):
 # ---------------------------------------------------------------------------
 
 def ext_ctx_for(sentence, pi0, state, allowed=None):
-    states = enumerate_extended_types(sentence.signature, pi0)
-    return WitnessContext(
-        sentence=sentence, pi0=pi0, state=state,
-        allowed=frozenset(allowed if allowed is not None else states))
+    """The context of extended type `state`, whose root is pi0's initial
+    extended type."""
+    sig = sentence.signature
+    states = enumerate_extended_types(sig, pi0)
+    return (sentence, initial_extended_type(sig, pi0), state,
+            frozenset(allowed if allowed is not None else states))
 
 
 def test_ext_degenerates_without_relations(s1):
     empty = OneType(())
     state = initial_extended_type(s1.signature, empty)
-    d = find_witness(ext_ctx_for(s1, empty, state))
-    plain = find_witness(ctx_for(s1, empty, empty))
+    d = search(ext_ctx_for(s1, empty, state))
+    plain = search(ctx_for(s1, empty, empty))
     assert d.partition == plain.partition
     assert d.atom_values == plain.atom_values
-    assert check_descriptor(d, ext_ctx_for(s1, empty, state)) == []
+    assert check(d, ext_ctx_for(s1, empty, state)) == []
 
 
 def test_ext_s4_start_state_has_witness(s4):
     neg = OneType((False,))
     start = initial_extended_type(s4.signature, neg)
     ctx = ext_ctx_for(s4, neg, start)
-    d = find_witness(ctx)
+    d = search(ctx)
     assert d is not None
-    assert check_descriptor(d, ctx) == []
+    assert check(d, ctx) == []
     # the y-class must point the successor to a state with the zx bit set
     cy = d.partition[2]
     zx_pattern = 0b10  # second argument is the current element
@@ -209,7 +205,7 @@ def test_ext_s4_poisoned_state_has_no_witness(s4):
     ridx = s4.signature.index("R")
     for st in states:
         if st.patterns[ridx][0b10]:  # current element satisfies R(b0, a)
-            assert find_witness(ext_ctx_for(s4, neg, st)) is None
+            assert search(ext_ctx_for(s4, neg, st)) is None
 
 
 def test_ext_rejects_mismatched_state_projection(s3):
@@ -219,21 +215,21 @@ def test_ext_rejects_mismatched_state_projection(s3):
     st = next(s for s in states if s.own_type() == pos)
     ctx = ext_ctx_for(s3, neg, st, allowed=[s for s in states
                                            if s.own_type() == neg])
-    assert find_witness(ctx) is None
+    assert search(ctx) is None
 
 
 def test_ext_c7_checked(s4):
     neg = OneType((False,))
     start = initial_extended_type(s4.signature, neg)
     ctx = ext_ctx_for(s4, neg, start)
-    d = find_witness(ctx)
+    d = search(ctx)
     # swap the y-class extended type for one violating C7
     bad_ext = list(d.class_states)
     bad_ext[d.partition[2]] = start  # zx bit false, but atom R(z,y) is true
     mutant = WitnessDescriptor(
         partition=d.partition, class_states=tuple(bad_ext),
         atom_values=d.atom_values, padding_count=d.padding_count)
-    assert any(v.startswith("C7") for v in check_descriptor(mutant, ctx))
+    assert any(v.startswith("C7") for v in check(mutant, ctx))
 
 
 def test_ext_fault_reported_once():
@@ -241,7 +237,7 @@ def test_ext_fault_reported_once():
     s = parse("exists z. forall x. exists y. (R(x,y) & ~R(x,x) & ~R(z,x))")
     neg = OneType((False,))
     ctx = ext_ctx_for(s, neg, initial_extended_type(s.signature, neg))
-    d = find_witness(ctx)
+    d = search(ctx)
     cx = d.partition[1]
     flipped = tuple((name, ct, not v if ct == (cx, cx) else v)
                     for name, ct, v in d.atom_values)
@@ -249,7 +245,7 @@ def test_ext_fault_reported_once():
         partition=d.partition, class_states=d.class_states,
         atom_values=flipped, padding_count=d.padding_count)
     key = f"(R, {(cx, cx)})"
-    lines = [v for v in check_descriptor(mutant, ctx) if key in v]
+    lines = [v for v in check(mutant, ctx) if key in v]
     assert len(lines) == 1 and lines[0].startswith("C2"), lines
 
 
@@ -261,9 +257,10 @@ def solver_contexts(sentence, monkeypatch):
     """Every context gfp and extended solving query, in query order."""
     plain, ext = [], []
 
-    def recorded(ctx, plan=None):
-        (ext if isinstance(ctx.state, ExtendedType) else plain).append(ctx)
-        return find_witness(ctx, plan)
+    def recorded(plan, root, state, allowed):
+        (ext if isinstance(state, ExtendedType) else plain).append(
+            (plan.sentence, root, state, allowed))
+        return find_witness(plan, root, state, allowed)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "find_witness", recorded)
@@ -281,14 +278,14 @@ def plan_sentences():
 def test_shared_plan_matches_fresh_plans(monkeypatch):
     for s in plan_sentences():
         plain, ext = solver_contexts(s, monkeypatch)
-        fresh = [(ctx, find_witness(ctx)) for ctx in plain + ext]
+        fresh = [(ctx, search(ctx)) for ctx in plain + ext]
         shared = SearchPlan(s)
         for ctx, want in fresh:
-            assert find_witness(ctx, shared) == want
+            assert search(ctx, shared) == want
         # another state fills each partition's first-walk memo first
         backward = SearchPlan(s)
         for ctx, want in reversed(fresh):
-            assert find_witness(ctx, backward) == want
+            assert search(ctx, backward) == want
 
 
 def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
@@ -303,9 +300,9 @@ def test_plan_memo_spares_matrix_evaluations(s3, s4, monkeypatch):
     for s in (s3, s4):
         plan = SearchPlan(s)
         for ctx in all_contexts(s):
-            first = find_witness(ctx, plan)
+            first = search(ctx, plan)
             before = len(calls)
-            assert find_witness(ctx, plan) == first
+            assert search(ctx, plan) == first
             assert len(calls) == before
     assert calls
 
@@ -322,12 +319,12 @@ def test_partitions_built_when_reached(s2, s4, monkeypatch):
     neg, pos = OneType((False,)), OneType((True,))
     plan = SearchPlan(s4)
     # ~R(z,x) & R(z,y) holds with z, x and y apart: one partition
-    assert find_witness(ctx_for(s4, neg, neg), plan).partition == (0, 1, 2)
+    assert search(ctx_for(s4, neg, neg), plan).partition == (0, 1, 2)
     assert built == [(0, 1, 2)] == [plan.parts[0]]
     # P(x) & ~P(z) has no witness for the root {+P}: every partition
     del built[:]
     plan = SearchPlan(s2)
-    assert find_witness(ctx_for(s2, pos, pos), plan) is None
+    assert search(ctx_for(s2, pos, pos), plan) is None
     assert built == list(plan.parts) and len(built) == 5  # Bell(3)
     # merging z and x leaves P(x) & ~P(x): later searches skip those
     assert [plan.partition(i).empty for i in range(5)] \
@@ -349,24 +346,24 @@ def test_states_share_a_first_walk(monkeypatch):
 
     monkeypatch.setattr(witness, "_walk", counted)
     plan = SearchPlan(s)
-    da = find_witness(ctx_for(s, pi0, a), plan)
+    da = search(ctx_for(s, pi0, a), plan)
     walked = len(depths)
-    db = find_witness(ctx_for(s, pi0, b), plan)
+    db = search(ctx_for(s, pi0, b), plan)
     assert walked and len(depths) == walked and depths.count(0) == 1
     assert da.partition == db.partition == (0, 1, 2)
     assert da.atom_values == db.atom_values
     assert da.padding_count == db.padding_count
     assert da.class_states[1] == a and db.class_states[1] == b
     assert da.class_states[::2] == db.class_states[::2]
-    assert (da, db) == (find_witness(ctx_for(s, pi0, a)),
-                        find_witness(ctx_for(s, pi0, b)))
+    assert (da, db) == (search(ctx_for(s, pi0, a)),
+                        search(ctx_for(s, pi0, b)))
 
 
 def test_masks_computed_when_walked():
     s = parse("exists z. forall x. exists y. (~P(y) | Q(y) | R(x) | S(z))")
     types = enumerate_one_types(s.signature)
     plan = SearchPlan(s)
-    find_witness(ctx_for(s, types[5], types[9]), plan)
+    search(ctx_for(s, types[5], types[9]), plan)
     # z's, x's, and the first y state: it satisfies the matrix, so the
     # walk reaches none of the other 15 states of y's class
     assert list(plan._built) == [0]
@@ -380,20 +377,14 @@ def test_plan_freed_without_cycle_collection(s4):
     try:
         plan = SearchPlan(s4)
         for ctx in all_contexts(s4):
-            find_witness(ctx, plan)
+            search(ctx, plan)
         state = initial_extended_type(s4.signature, neg)
-        find_witness(ext_ctx_for(s4, neg, state), plan)
+        search(ext_ctx_for(s4, neg, state), plan)
         refs = [weakref.ref(x) for x in (plan, plan.partition(0))]
         del plan
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
-
-
-def test_plan_rejects_another_sentence(s3, s4):
-    neg = OneType((False,))
-    with pytest.raises(ValueError):
-        find_witness(ctx_for(s3, neg, neg), SearchPlan(s4))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +400,8 @@ def test_search_matches_naive_reference(monkeypatch):
         for ctx in plain[:3] + ext[:3] + ext[-2:]:
             if candidate_count(ctx) > 1000:
                 continue
-            assert find_witness(ctx) == next(naive_witnesses(ctx), None)
-            checked[type(ctx.state)] += 1
+            assert search(ctx) == next(naive_witnesses(ctx), None)
+            checked[type(ctx[2])] += 1
     assert checked[OneType] > 300 and checked[ExtendedType] > 300, checked
 
 
@@ -429,13 +420,13 @@ def test_chunked_tables_match_one_table(monkeypatch, bits):
     for s in plan_sentences()[:120]:
         plain, ext = solver_contexts(s, monkeypatch)
         cases += [(s, ctx) for ctx in plain[:4] + ext[:4]]
-    default = [find_witness(ctx) for _, ctx in cases]
+    default = [search(ctx) for _, ctx in cases]
     plans = {}
     with monkeypatch.context() as m:
         m.setattr(structures, "_CHUNK_BITS", bits)
         for (s, ctx), want in zip(cases, default):
             plan = plans.setdefault(s, SearchPlan(s))
-            assert find_witness(ctx, plan) == want
+            assert search(ctx, plan) == want
     widths = []
     for s, plan in plans.items():
         whole = SearchPlan(s)
@@ -454,8 +445,8 @@ def test_wide_tables_stay_chunked():
     s = load_sentence(fixture_path("wide/s9_wide_t3.fo"))
     plan = SearchPlan(s)
     neg = OneType((False,))
-    ctx = WitnessContext(s, neg, neg, frozenset(enumerate_one_types(s.signature)))
-    assert find_witness(ctx, plan) is None
+    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)))
+    assert search(ctx, plan) is None
     widest = plan.partition(0)
     assert len(widest.keys) == 27 and widest.bits == structures._CHUNK_BITS
     # only the all-true valuation satisfies the conjunction
@@ -470,7 +461,7 @@ def test_wide_tables_evaluate_chunks_on_demand():
         s = parse(fh.read().replace(" & ", " | "))
     plan = SearchPlan(s)
     neg = OneType((False,))
-    ctx = WitnessContext(s, neg, neg, frozenset(enumerate_one_types(s.signature)))
-    d = find_witness(ctx, plan)
-    assert d is not None and d == find_witness(ctx)
+    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)))
+    d = search(ctx, plan)
+    assert d is not None and d == search(ctx)
     assert list(plan.partition(0)._table) == [0]
