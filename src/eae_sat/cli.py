@@ -222,7 +222,7 @@ def cmd_brute(sentence, args, out):
 
 def cmd_certify(sentence, args, out):
     try:
-        with open(args.cert, encoding="utf-8") as fh:
+        with open(args.cert, encoding="utf-8-sig") as fh:
             cert = serialize.certificate_from_json(json.load(fh), sentence)
     except (KeyError, ValueError, TypeError, RecursionError) as e:
         out.write(f"malformed certificate: {e}\n")

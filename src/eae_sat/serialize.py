@@ -3,6 +3,9 @@
 All dictionaries use sorted keys and deterministic list orders, so
 serialized output is byte-identical across runs.  `dumps` prints each
 object as one line; `python -m json.tool` indents it for reading.
+
+A descriptor is written as its fields: the class id per prefix variable,
+the canonical index per class's 1-type, and the valuation integer.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import json
 
 from .onetypes import (
-    ExtendedType, one_type_from_symbols, render_extended_type, type_symbols)
+    ExtendedType, OneType, one_type_from_symbols, render_extended_type,
+    type_symbols)
 from .solver import Certificate
 from .witness import WitnessDescriptor
 
@@ -21,18 +25,11 @@ def state_label(state, sig):
     return type_symbols(state, sig)
 
 
-def descriptor_to_json(d, sentence):
-    part = {v: d.partition[i] for i, v in enumerate(sentence.prefix_vars)}
-    sig = sentence.signature
+def descriptor_to_json(d):
     return {
-        "partition": part,
-        "class_types": {str(c): type_symbols(t, sig)
-                        for c, t in enumerate(d.class_types)},
-        "atom_values": [
-            {"rel": name, "classes": list(classes), "value": v}
-            for name, classes, v in d.atom_values
-        ],
-        "padding_count": d.padding_count,
+        "partition": list(d.partition),
+        "class_types": [t.index() for t in d.class_types],
+        "valuation": d.valuation,
     }
 
 
@@ -43,30 +40,19 @@ def _exact(value, kind):
     return value
 
 
-def _keyed(obj, keys, what):
-    """`obj` if its keys are exactly the strings of `keys`, a sized
-    collection such as a range, else ValueError."""
-    if len(obj) != len(keys) or any(str(k) not in obj for k in keys):
-        raise ValueError(f"{what} has keys {sorted(obj)}")
-    return obj
+def _class_type(index, sig):
+    """The 1-type at a canonical index: bit j is relation j's value."""
+    if not 0 <= _exact(index, int) < 1 << len(sig):
+        raise ValueError(f"class type index {index} out of range")
+    return OneType(tuple(bool(index >> j & 1) for j in range(len(sig))))
 
 
 def descriptor_from_json(obj, sentence):
     sig = sentence.signature
-    vs = sentence.prefix_vars
-    partition = _keyed(obj["partition"], vs, "partition")
-    part = tuple(_exact(partition[v], int) for v in vs)
-    nclasses = max(part) + 1 if part else 0
-    class_types = _keyed(obj["class_types"], range(nclasses), "class_types")
-    class_states = tuple(one_type_from_symbols(class_types[str(c)], sig)
-                         for c in range(nclasses))
-    atom_values = tuple(sorted(
-        (_exact(av["rel"], str), tuple(_exact(c, int) for c in av["classes"]),
-         _exact(av["value"], bool))
-        for av in obj["atom_values"]))
     return WitnessDescriptor(
-        partition=part, class_states=class_states, atom_values=atom_values,
-        padding_count=_exact(obj["padding_count"], int))
+        partition=tuple(_exact(c, int) for c in obj["partition"]),
+        class_states=tuple(_class_type(i, sig) for i in obj["class_types"]),
+        valuation=_exact(obj["valuation"], int))
 
 
 def certificate_to_json(cert, sentence):
@@ -75,7 +61,7 @@ def certificate_to_json(cert, sentence):
         "pi0": type_symbols(cert.pi0, sig),
         "strategy": [
             {"type": type_symbols(pi, sig),
-             "descriptor": descriptor_to_json(d, sentence)}
+             "descriptor": descriptor_to_json(d)}
             for pi, d in cert.strategy
         ],
     }

@@ -52,9 +52,6 @@ class Certificate:
     pi0: object
     strategy: tuple  # ((OneType, WitnessDescriptor), ...) in canonical type order
 
-    def strategy_map(self):
-        return dict(self.strategy)
-
     @property
     def good_types(self):
         return frozenset(t for t, _ in self.strategy)

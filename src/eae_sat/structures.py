@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .onetypes import OneType, render_one_type, type_of_element
-from .syntax import Signature, equalities_of, eval_matrix
+from .syntax import Signature, atom_keys, equalities_of, eval_matrix
 
 
 class UnboundVariableError(Exception):
@@ -143,7 +143,7 @@ def descriptor_to_structure(d, sentence):
     """
     sig = sentence.signature
     nclasses = d.num_classes
-    size = nclasses + d.padding_count
+    size = len(d.partition)
     cz = d.partition[0]
     extents = {name: set() for name, _ in sig}
     for c, t in enumerate(d.class_types):
@@ -154,8 +154,8 @@ def descriptor_to_structure(d, sentence):
         for i, (name, arity) in enumerate(sig):
             if d.class_types[cz].bit(i):
                 extents[name].add((pad,) * arity)
-    for name, ctuple, v in d.atom_values:
-        if v:
+    for j, (name, ctuple) in enumerate(atom_keys(sentence, d.partition)):
+        if d.valuation >> j & 1:
             extents[name].add(ctuple)
     structure = FiniteStructure(
         signature=sig, size=size,
@@ -278,7 +278,9 @@ def build_model_sequence(sentence, cert, depth):
     MAX_MODEL_ELEMENTS elements in all.
     """
     sig = sentence.signature
-    strategy = cert.strategy_map()
+    strategy = dict(cert.strategy)
+    # each partition's atom keys, decoded once per build
+    keys = {p: atom_keys(sentence, p) for p in {d.partition for d in strategy.values()}}
     pi0 = cert.pi0
     eq_atoms = equalities_of(sentence.matrix)
 
@@ -343,8 +345,9 @@ def build_model_sequence(sentence, cert, depth):
                 e = emap[c]
                 for i, (name, arity) in enumerate(sig):
                     dictated.append((name, (e,) * arity, t.bit(i)))
-            for name, ctuple, v in d.atom_values:
-                dictated.append((name, tuple(emap[c] for c in ctuple), v))
+            for j, (name, ctuple) in enumerate(keys[d.partition]):
+                dictated.append((name, tuple(emap[c] for c in ctuple),
+                                 bool(d.valuation >> j & 1)))
 
             for name, tup, v in dictated:
                 if all(t < prev.size for t in tup):
@@ -389,7 +392,7 @@ def verify_construction(staged, sentence, cert):
     failures = []
     sig = sentence.signature
     good = cert.good_types
-    strategy = cert.strategy_map()
+    strategy = dict(cert.strategy)
     for i, st in enumerate(staged.stages):
         for a in range(st.size):
             if type_of_element(st, a) not in good:

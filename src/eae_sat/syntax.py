@@ -115,10 +115,6 @@ class Signature:
     def __iter__(self):
         return iter(self.relations)
 
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.relations)
-
     def index(self, name):
         """Position of a relation symbol; KeyError if it is not in the signature."""
         return self._positions[name]
@@ -141,10 +137,6 @@ class PrenexSentence:
     @property
     def prefix_vars(self):
         return (self.z, self.x) + self.ys
-
-    @property
-    def n(self):
-        return len(self.ys)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +161,15 @@ def _leaves(matrix):
 def atoms_of(matrix):
     """All distinct relation atoms of a matrix, in first-occurrence order."""
     return tuple(dict.fromkeys(a for a in _leaves(matrix) if isinstance(a, Rel)))
+
+
+def atom_keys(sentence, partition):
+    """The matrix's relation atoms under a partition of the prefix
+    variables, as sorted (relation, class tuple) keys; bit j of a witness
+    valuation is the value of key j."""
+    env = dict(zip(sentence.prefix_vars, partition))
+    return sorted({(a.name, tuple(map(env.__getitem__, a.args)))
+                   for a in atoms_of(sentence.matrix)})
 
 
 def equalities_of(matrix):
@@ -461,6 +462,7 @@ def eval_matrix(node, ext, env, full=1):
 
 
 def load_sentence(path):
-    """Read and parse the sentence in a UTF-8 text file."""
-    with open(path, encoding="utf-8") as fh:
+    """Read and parse the sentence in a UTF-8 text file, with or without
+    a byte order mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse(fh.read())

@@ -4,9 +4,10 @@ canonical-first witness.
 A witness descriptor stands for a structure of size n+2 together with an
 assignment of the prefix variables: a partition of the variables into
 classes (one element per class, plus padding duplicates of the z-class),
-a state per class, and a truth value per relation atom of the matrix,
-keyed by (relation, class tuple).  Equality atoms are decided by the
-partition itself, and congruence is baked in by the class-tuple keying.
+a state per class, and a valuation whose bit j is the truth value of
+atom key j (`syntax.atom_keys`: sorted (relation, class tuple) keys).
+Equality atoms are decided by the partition itself, and congruence is
+baked in by the class-tuple keying.
 
 A state is a 1-type or a z-relative extended type; one search and one
 checker serve both kinds.  The z-class holds the root the caller gives
@@ -17,10 +18,10 @@ Search order is fixed so that "the" witness for a context is well
 defined: partitions of (z, x, y1, ...) as restricted-growth strings in
 reverse lexicographic order (all-distinct first, all-merged last), then
 state choices for unconstrained classes in canonical state order (the
-first free class varies slowest, as in `itertools.product`), then free
-atom values by binary counting (first key in sorted order = least
-significant bit).  The search is bitwise: the first valuation of a combo
-is the lowest set bit of its partition's truth table under its masks.
+first free class varies slowest, as in `itertools.product`), then
+valuations in increasing order.  The search is bitwise: the first
+valuation of a combo is the lowest set bit of its partition's truth
+table under its masks.
 A partition is built when a search first reaches it.  A search reads
 nothing of the state under test past its start constraint, so states
 with equal start constraints share each partition's first walk.
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from . import structures
 from .onetypes import _forced_bit
-from .syntax import atoms_of, eval_matrix
+from .syntax import atom_keys, eval_matrix
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,8 @@ class WitnessDescriptor:
     partition: tuple[int, ...]
     # state per class id
     class_states: tuple
-    # ((relation, class tuple, value), ...), sorted by (relation, class tuple)
-    atom_values: tuple[tuple[str, tuple[int, ...], bool], ...]
-    padding_count: int
+    # bit j: the value of key j of syntax.atom_keys(sentence, partition)
+    valuation: int
 
     @property
     def class_types(self):
@@ -89,9 +89,8 @@ class _Partition:
         self.free_classes = tuple(
             c for c in range(self.nclasses) if c not in (self.cz, self.cx))
         sentence = plan.sentence
-        self._env = env = dict(zip(sentence.prefix_vars, part))
-        self.keys = sorted({(a.name, tuple(env[v] for v in a.args))
-                            for a in plan.atoms})
+        self._env = dict(zip(sentence.prefix_vars, part))
+        self.keys = atom_keys(sentence, part)
         self.bits = min(len(self.keys), structures._CHUNK_BITS)
         self.full, self._inner = structures.slot_patterns(self.bits)
         self._matrix, self._sig = sentence.matrix, sentence.signature
@@ -169,10 +168,6 @@ class _Partition:
             self._first[key] = _walk(self, ordered, start, 0, ())
         return self._first[key]
 
-    def atom_values(self, v):
-        return tuple((name, ctuple, bool(v >> slot & 1))
-                     for slot, (name, ctuple) in enumerate(self.keys))
-
 
 class SearchPlan:
     """What every witness search for one sentence shares, settled once:
@@ -184,7 +179,6 @@ class SearchPlan:
 
     def __init__(self, sentence):
         self.sentence = sentence
-        self.atoms = atoms_of(sentence.matrix)
         self.parts = _partitions(len(sentence.prefix_vars))
         self._built = {}  # index into parts -> its _Partition
         self._ordered = {}  # allowed state set -> its members in canonical order
@@ -242,7 +236,6 @@ def find_witness(plan, root, state, allowed):
     if root not in allowed or state not in allowed:
         return None
     ordered = plan.ordered(allowed)
-    k = len(plan.sentence.prefix_vars)
 
     for i, part in enumerate(plan.parts):
         cz, cx = part[0], part[1]
@@ -264,8 +257,7 @@ def find_witness(plan, root, state, allowed):
         for c, s in zip(pt.free_classes, combo):
             states[c] = s
         return WitnessDescriptor(
-            partition=part, class_states=tuple(states),
-            atom_values=pt.atom_values(v), padding_count=k - pt.nclasses)
+            partition=part, class_states=tuple(states), valuation=v)
     return None
 
 
@@ -282,25 +274,23 @@ class CheckFrames:
 
     def __init__(self, sentence):
         self.sentence = sentence
-        self.atoms = atoms_of(sentence.matrix)
-        self._frames = {}  # (partition, kind) -> (env, keys, key set, forced)
+        self._frames = {}  # (partition, kind) -> (env, keys, forced)
 
     def frame(self, partition, kind):
-        """(env, keys, key set, forced) for a well-formed partition:
-        `keys` sorted, `forced` one (name, ctuple, class, bit, diagonal)
+        """(env, keys, forced) for a well-formed partition: `keys` from
+        `atom_keys`, `forced` one (name, ctuple, class, bit, diagonal)
         per key a class state of `kind` fixes, in key order."""
         out = self._frames.get((partition, kind))
         if out is None:
             sig = self.sentence.signature
             env = dict(zip(self.sentence.prefix_vars, partition))
-            keys = sorted({(a.name, tuple(env[arg] for arg in a.args))
-                           for a in self.atoms})
+            keys = atom_keys(self.sentence, partition)
             forced = []
             for name, ctuple in keys:
                 hit = _forced_bit(sig, name, ctuple, partition[0], kind)
                 if hit is not None:
                     forced.append((name, ctuple, *hit, len(set(ctuple)) == 1))
-            out = self._frames[partition, kind] = (env, keys, set(keys), forced)
+            out = self._frames[partition, kind] = (env, keys, forced)
         return out
 
 
@@ -333,29 +323,14 @@ def check_descriptor(d, frames, root, state, allowed):
         violations.append(f"P0: {len(d.class_states)} class types for {nclasses} classes")
         return violations
 
-    if d.padding_count != k - nclasses:
-        violations.append(
-            f"P1: padding_count {d.padding_count} != {k - nclasses}")
-    if d.padding_count < 0:
-        violations.append("P1: negative padding_count")
-
-    env, expected_keys, key_set, forced = frames.frame(d.partition, kind)
+    env, keys, forced = frames.frame(d.partition, kind)
+    if not 0 <= d.valuation < 1 << len(keys):
+        violations.append(f"P2: valuation out of range for {len(keys)} atom keys")
+        return violations
     cz, cx = d.partition[0], d.partition[1]
     ext = {}  # relation -> class tuple -> value
-    seen = set()
-    for name, ctuple, v in d.atom_values:
-        if name == "=":
-            violations.append("C1: equality atom carried in atom_values")
-            continue
-        if (name, ctuple) in seen:
-            violations.append(f"C3: duplicate key ({name}, {ctuple})")
-        seen.add((name, ctuple))
-        ext.setdefault(name, {})[ctuple] = v
-    if seen != key_set:
-        violations.append(
-            f"P2: atom keys {sorted(seen)} do not match the matrix keys "
-            f"{expected_keys}")
-        return violations
+    for j, (name, ctuple) in enumerate(keys):
+        ext.setdefault(name, {})[ctuple] = bool(d.valuation >> j & 1)
 
     for name, ctuple, c, b, diagonal in forced:
         got, want = ext[name][ctuple], d.class_states[c].bits[b]

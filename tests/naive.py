@@ -32,8 +32,8 @@ def naive_candidates(ctx):
     for part in naive_partitions(k):
         n = max(part) + 1
         free = [c for c in range(n) if c not in part[:2]]
-        keys = sorted({(a.name, tuple(part[index[v]] for v in a.args))
-                       for a in atoms_of(s.matrix)})
+        keys = {(a.name, tuple(part[index[v]] for v in a.args))
+                for a in atoms_of(s.matrix)}
         for combo in product(ordered, repeat=len(free)):
             states = dict(zip(free, combo))
             states[part[0]] = root
@@ -41,10 +41,7 @@ def naive_candidates(ctx):
             class_states = tuple(states[c] for c in range(n))
             for v in range(1 << len(keys)):
                 yield WitnessDescriptor(
-                    partition=part, class_states=class_states,
-                    atom_values=tuple((name, ct, bool(v >> j & 1))
-                                      for j, (name, ct) in enumerate(keys)),
-                    padding_count=k - n)
+                    partition=part, class_states=class_states, valuation=v)
 
 
 def naive_witnesses(ctx):

@@ -7,6 +7,7 @@ Each test covers one acceptance criterion and prints a single
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,8 +31,8 @@ from eae_sat.structures import (
     type_of_element,
     verify_construction,
 )
-from eae_sat.syntax import parse
-from eae_sat.witness import WitnessDescriptor, find_witness
+from eae_sat.syntax import atom_keys, load_sentence
+from eae_sat.witness import find_witness
 
 import corpus
 from conftest import fixture_path, search
@@ -159,17 +160,13 @@ def test_criterion_6_certificate_soundness(corpus_200, corpus_outcomes):
             mutations_caught += 1
         # mutation 2: flip a type-forced (single-class) atom value
         for i, (pi, d) in enumerate(cert.strategy):
-            forced = [(j, a) for j, a in enumerate(d.atom_values)
-                      if len(set(a[1])) == 1]
+            forced = [j for j, (_, classes)
+                      in enumerate(atom_keys(s, d.partition))
+                      if len(set(classes)) == 1]
             if not forced:
                 continue
             mutations_total += 1
-            j, (name, classes, v) = forced[0]
-            mutant_d = WitnessDescriptor(
-                partition=d.partition, class_states=d.class_states,
-                atom_values=(d.atom_values[:j] + ((name, classes, not v),)
-                             + d.atom_values[j + 1:]),
-                padding_count=d.padding_count)
+            mutant_d = replace(d, valuation=d.valuation ^ 1 << forced[0])
             mutant = Certificate(pi0=cert.pi0, strategy=(
                 cert.strategy[:i] + ((pi, mutant_d),) + cert.strategy[i + 1:]))
             if check_certificate(s, mutant) != []:
@@ -183,12 +180,8 @@ def test_criterion_6_certificate_soundness(corpus_200, corpus_outcomes):
             pi, d = cert.strategy[0]
             cx = d.partition[1]
             other = next(t for t in types if t != d.class_types[cx])
-            retyped = WitnessDescriptor(
-                partition=d.partition,
-                class_states=(d.class_states[:cx] + (other,)
-                              + d.class_states[cx + 1:]),
-                atom_values=d.atom_values,
-                padding_count=d.padding_count)
+            retyped = replace(d, class_states=(
+                d.class_states[:cx] + (other,) + d.class_states[cx + 1:]))
             mutant = Certificate(pi0=cert.pi0, strategy=(
                 ((pi, retyped),) + cert.strategy[1:]))
             if check_certificate(s, mutant) != []:
@@ -242,7 +235,7 @@ def test_criterion_8_realization_law(corpus_outcomes):
 
 
 def test_criterion_9_scale_smoke():
-    sentence = parse(open(fixture_path("s6_scale.fo")).read())
+    sentence = load_sentence(fixture_path("s6_scale.fo"))
     assert len(sentence.signature) == 6
     t0 = time.monotonic()
     out = gfp_solve(sentence)

@@ -9,6 +9,7 @@ import pytest
 from eae_sat import cli
 
 from conftest import fixture_path
+from test_golden import FIXTURES
 
 
 def run(*argv):
@@ -289,113 +290,103 @@ def test_brute_not_found_caveat():
 
 
 def test_certify_roundtrip(tmp_path):
-    code, out, _ = run("check", fixture_path("s3.fo"), "--json")
-    cert = json.loads(out)["certificate"]
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(cert))
-    code, out, _ = run("certify", fixture_path("s3.fo"),
-                       "--cert", str(cert_path))
-    assert code == 0
-    assert out == "certificate ok\n"
+    sat = []
+    for name in FIXTURES:
+        path = fixture_path(name + ".fo")
+        code, out, _ = run("check", path, "--json")
+        if code != 10:
+            continue
+        sat.append(name)
+        cert_path.write_text(json.dumps(json.loads(out)["certificate"]))
+        assert run("certify", path, "--cert", str(cert_path)) == \
+            (0, "certificate ok\n", ""), name
+    assert len(sat) == 8, sat  # every fixture but s2
+    # a UTF-8 byte order mark opens either file without changing its text
+    bom = b"\xef\xbb\xbf"
+    sentence = tmp_path / "bom.fo"
+    with open(fixture_path("s3.fo"), "rb") as fh:
+        sentence.write_bytes(bom + fh.read())
+    code, out, err = run("check", str(sentence), "--json")
+    assert (code, err) == (10, "")
+    cert_path.write_bytes(bom + json.dumps(json.loads(out)["certificate"]).encode())
+    assert run("certify", str(sentence), "--cert", str(cert_path)) == \
+        (0, "certificate ok\n", "")
 
 
 def test_certify_rejects_tampered(tmp_path):
-    code, out, _ = run("check", fixture_path("s3.fo"), "--json")
-    cert = json.loads(out)["certificate"]
-    cert["strategy"][0]["descriptor"]["atom_values"][0]["value"] = \
-        not cert["strategy"][0]["descriptor"]["atom_values"][0]["value"]
+    s3 = fixture_path("s3.fo")
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(json.dumps(cert))
-    code, out, _ = run("certify", fixture_path("s3.fo"),
-                       "--cert", str(cert_path))
-    assert code == 4
-    assert "violation" in out
+
+    def certify(text):
+        cert_path.write_text(text)
+        code, out, err = run("certify", s3, "--cert", str(cert_path))
+        assert code == 4 and not err, (text, out, err)
+        return out
+
     # not JSON at all, and JSON nested past the recursion limit
     for text in ("not json\n", "[" * 100000 + "]" * 100000):
-        cert_path.write_text(text)
-        code, out, err = run("certify", fixture_path("s3.fo"),
-                             "--cert", str(cert_path))
-        assert code == 4
-        assert out.startswith("malformed certificate:") and not err
+        assert certify(text).startswith("malformed certificate:")
 
-    # negative class ids are not canonical: a P0 violation, no crash
-    code, out, _ = run("check", fixture_path("s1.fo"), "--json")
-    cert = json.loads(out)["certificate"]
-    d = cert["strategy"][0]["descriptor"]
-    d["partition"] = {v: -1 for v in d["partition"]}
-    d["class_types"] = {}
-    for av in d["atom_values"]:
-        av["classes"] = [-1] * len(av["classes"])
-    d["padding_count"] = 3
-    cert_path.write_text(json.dumps(cert))
-    code, out, _ = run("certify", fixture_path("s1.fo"),
-                       "--cert", str(cert_path))
-    assert code == 4
-    assert out.startswith("violation:") and "P0" in out
-
-    # a JSON string is no boolean, however it reads
-    code, out, _ = run("check", fixture_path("s3.fo"), "--json")
+    code, out, _ = run("check", s3, "--json")
     base = json.loads(out)["certificate"]
-    for value in ("true", "", "false", 1):
+    # partition (z, x, y) = (0, 1, 2), one symbol E, so two 1-types, and
+    # the atom keys (E, (1, 1)), (E, (1, 2)): E(x,x) false, E(x,y) true
+    assert base["strategy"][0]["descriptor"] == {
+        "partition": [0, 1, 2], "class_types": [0, 0, 0], "valuation": 2}
+
+    def tampered(**descriptor):
         cert = json.loads(json.dumps(base))
-        for entry in cert["strategy"]:
-            for av in entry["descriptor"]["atom_values"]:
-                av["value"] = value
-        cert_path.write_text(json.dumps(cert))
-        code, out, _ = run("certify", fixture_path("s3.fo"),
-                           "--cert", str(cert_path))
-        assert code == 4
-        assert out.startswith("malformed certificate:")
+        cert["strategy"][0]["descriptor"].update(descriptor)
+        return json.dumps(cert)
 
-    # ids and padding must be integers, and a JSON true is none; a
-    # relation name must be a string
-    for field, value in (("padding_count", True), ("padding_count", 1.0),
-                         ("partition", True), ("classes", True),
-                         ("rel", ["E"])):
-        cert = json.loads(json.dumps(base))
-        d = cert["strategy"][0]["descriptor"]
-        if field == "partition":
-            d["partition"] = {v: (value if c == 0 else c)
-                              for v, c in d["partition"].items()}
-        elif field == "classes":
-            d["atom_values"][0]["classes"][0] = value
-        elif field == "rel":
-            # on every atom value, so that sorting them raises nothing
-            for av in d["atom_values"]:
-                av["rel"] = value
-        else:
-            d[field] = value
-        cert_path.write_text(json.dumps(cert))
-        code, out, _ = run("certify", fixture_path("s3.fo"),
-                           "--cert", str(cert_path))
-        assert code == 4, (field, value)
-        assert out.startswith("malformed certificate:"), (field, value, out)
+    # a flipped valuation bit: the certificate reads, and fails the check
+    out = certify(tampered(valuation=3))
+    assert out.startswith("violation:") and "C2" in out
+    # a valuation outside the 2**K values of its K atom keys
+    for valuation in (4, -1):
+        out = certify(tampered(valuation=valuation))
+        assert out.startswith("violation:") and "P2" in out, valuation
+    # a partition of the wrong length, with negative ids, or a class type
+    # too many
+    for descriptor in ({"partition": [0, 1]}, {"partition": [0, 1, 2, 3]},
+                       {"partition": [-1, -1, -1], "class_types": []},
+                       {"class_types": [0, 0, 0, 0]}):
+        out = certify(tampered(**descriptor))
+        assert out.startswith("violation:") and "P0" in out, descriptor
 
-    # a variable outside the prefix, a class id outside 0..n-1, a type
-    # listed twice, and a type naming a relation twice: the solver writes
-    # none of them
-    def extra_variable(c):
-        c["strategy"][0]["descriptor"]["partition"]["w"] = 0
+    # integers must be exact: a JSON true, a float or a string is none;
+    # a class type index lies in 0..2**|sig|-1
+    for descriptor in ({"valuation": True}, {"valuation": 1.0},
+                       {"valuation": "3"}, {"valuation": None},
+                       {"class_types": [0, 2, 0]}, {"class_types": [0, -1, 0]},
+                       {"class_types": [0, True, 0]},
+                       {"partition": [0, True, 2]}):
+        out = certify(tampered(**descriptor))
+        assert out.startswith("malformed certificate:"), (descriptor, out)
 
-    def extra_class(c):
-        d = c["strategy"][0]["descriptor"]
-        d["class_types"][str(len(d["class_types"]))] = []
+    # the spelled-out form of earlier versions is no descriptor
+    old = {"atom_values": [{"classes": [1, 1], "rel": "E", "value": False},
+                           {"classes": [1, 2], "rel": "E", "value": True}],
+           "class_types": {"0": ["-E"], "1": ["-E"], "2": ["-E"]},
+           "padding_count": 0, "partition": {"x": 1, "y": 2, "z": 0}}
+    cert = json.loads(json.dumps(base))
+    cert["strategy"][0]["descriptor"] = old
+    assert certify(json.dumps(cert)).startswith("malformed certificate:")
 
+    # a type listed twice, and a type naming a relation twice: the solver
+    # writes neither
     def repeated_type(c):
         c["strategy"].append(c["strategy"][0])
 
     def repeated_relation(c):
         c["pi0"] = ["+E", "-E"]
-        c["strategy"][0]["descriptor"]["class_types"]["0"] = ["+E", "-E"]
+        c["strategy"][0]["type"] = ["-E", "-E"]
 
-    for tamper in (extra_variable, extra_class, repeated_type,
-                   repeated_relation):
+    for tamper in (repeated_type, repeated_relation):
         cert = json.loads(json.dumps(base))
         tamper(cert)
-        cert_path.write_text(json.dumps(cert))
-        code, out, _ = run("certify", fixture_path("s3.fo"),
-                           "--cert", str(cert_path))
-        assert code == 4, tamper.__name__
+        out = certify(json.dumps(cert))
         assert out.startswith("malformed certificate:"), (tamper.__name__, out)
 
 

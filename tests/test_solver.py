@@ -1,6 +1,7 @@
 import gc
 import io
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +23,8 @@ from eae_sat.solver import (
     solve,
 )
 from eae_sat.structures import brute_force_search
-from eae_sat.syntax import load_sentence, parse
-from eae_sat.witness import SearchPlan, WitnessDescriptor, find_witness
+from eae_sat.syntax import atom_keys, load_sentence, parse
+from eae_sat.witness import SearchPlan, find_witness
 
 import corpus
 from conftest import fixture_path
@@ -173,14 +174,9 @@ def test_certificate_closure_violation():
 def test_certificate_flipped_atom_fails(s3):
     out = gfp_solve(s3)
     (pi, d), = out.certificate.strategy
-    flipped_values = tuple(
-        (name, classes, not v if (name, classes) == ("E", (1, 1)) else v)
-        for name, classes, v in d.atom_values)
+    j = atom_keys(s3, d.partition).index(("E", (1, 1)))
     mutant = Certificate(pi0=out.certificate.pi0, strategy=(
-        (pi, WitnessDescriptor(partition=d.partition,
-                               class_states=d.class_states,
-                               atom_values=flipped_values,
-                               padding_count=d.padding_count)),))
+        (pi, replace(d, valuation=d.valuation ^ 1 << j)),))
     assert check_certificate(s3, mutant) != []
 
 

@@ -43,7 +43,7 @@ def test_missing_leading_existential_synthesized():
     s = parse("forall x. exists y. (E(x,y) & ~E(x,x))")
     assert s.z_synthesized
     assert s.z == "z"
-    assert s.n == 1
+    assert len(s.ys) == 1
     assert s.signature == Signature((("E", 2),))
     # the synthesized variable never collides with used names
     s2 = parse("forall x. exists z. (x = z)")
@@ -51,7 +51,7 @@ def test_missing_leading_existential_synthesized():
 
 
 def test_prefix_shapes():
-    assert parse("exists z. forall x. exists y1. exists y2. (x = y1)").n == 2
+    assert len(parse("exists z. forall x. exists y1. exists y2. (x = y1)").ys) == 2
     with pytest.raises(FragmentError):
         parse("forall x. forall w. (x = w)")
     with pytest.raises(FragmentError):
@@ -61,7 +61,7 @@ def test_prefix_shapes():
     with pytest.raises(FragmentError):
         parse("exists z. exists w. (z = w)")
     # n = 0 is allowed
-    assert parse("exists z. forall x. (x = z | ~(x = z))").n == 0
+    assert len(parse("exists z. forall x. (x = z | ~(x = z))").ys) == 0
 
 
 def test_exists_block_sugar():
@@ -194,7 +194,7 @@ def test_extract_signature(s1, s2, s3):
     assert extract_signature(s2.matrix) == Signature((("P", 1),))
     assert extract_signature(s3.matrix) == Signature((("E", 2),))
     s = parse("exists z. forall x. exists y. (B(x) & A(x,y))")
-    assert s.signature.names == ("A", "B")  # lexicographic
+    assert tuple(n for n, _ in s.signature) == ("A", "B")  # lexicographic
     with pytest.raises(ParseError, match="arity conflict"):
         extract_signature(And(Rel("R", ("x",)), Rel("R", ("x", "y"))))
 

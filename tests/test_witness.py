@@ -1,6 +1,7 @@
 import gc
 import os
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -14,12 +15,18 @@ from eae_sat.onetypes import (
 from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
 from eae_sat import solver, structures, witness
 from eae_sat.solver import extended_solve, gfp_solve
-from eae_sat.syntax import load_sentence, parse
+from eae_sat.syntax import atom_keys, load_sentence, parse
 from eae_sat.witness import SearchPlan, WitnessDescriptor, find_witness
 
 import corpus
 from conftest import FIXTURE_DIR, check, fixture_path, search
 from naive import candidate_count, naive_witnesses
+
+
+def key_values(d, sentence):
+    """{(relation, class tuple): value} over the descriptor's atom keys."""
+    return {key: bool(d.valuation >> j & 1)
+            for j, key in enumerate(atom_keys(sentence, d.partition))}
 
 
 def ctx_for(sentence, pi0, pi, allowed=None):
@@ -46,7 +53,7 @@ def test_s1_witness_merges_x_and_y(s1):
     assert d is not None
     # x and y share a class (the equality forces it), z stays apart
     assert d.partition == (0, 1, 1)
-    assert d.padding_count == 1
+    assert len(d.partition) - d.num_classes == 1  # one padding element
     assert check(d, ctx_for(s1, empty, empty)) == []
 
 
@@ -64,8 +71,7 @@ def test_s2_check_descriptor_reports_c5(s2):
     d = WitnessDescriptor(
         partition=(0, 1, 2),
         class_states=(pos, pos, neg),
-        atom_values=(("P", (0,), True), ("P", (1,), True)),
-        padding_count=0)
+        valuation=0b11)  # P on the z- and the x-class
     bad = check(d, ctx_for(s2, pos, pos))
     assert any(v.startswith("C5") for v in bad)
 
@@ -76,7 +82,7 @@ def test_s3_witness(s3):
     d = search(ctx)
     assert d is not None
     assert d.partition == (0, 1, 2)
-    values = {(name, ct): v for name, ct, v in d.atom_values}
+    values = key_values(d, s3)
     assert values[("E", (1, 2))] is True
     assert values[("E", (1, 1))] is False  # forced by the x-class type
     assert d in naive_witnesses(ctx)
@@ -88,7 +94,7 @@ def test_s4_witness_distinct_classes(s4):
     assert d is not None
     assert d.partition == (0, 1, 2)
     assert d.class_types == (neg, neg, neg)
-    values = {(name, ct): v for name, ct, v in d.atom_values}
+    values = key_values(d, s4)
     assert values[("R", (0, 1))] is False
     assert values[("R", (0, 2))] is True
 
@@ -97,18 +103,9 @@ def test_c4_violation_detected(s3):
     neg, pos = OneType((False,)), OneType((True,))
     ctx = ctx_for(s3, neg, neg)
     d = search(ctx)
-    retyped = WitnessDescriptor(
-        partition=d.partition,
-        class_states=(d.class_states[0], pos) + d.class_states[2:],
-        atom_values=d.atom_values,
-        padding_count=d.padding_count)
+    retyped = replace(
+        d, class_states=(d.class_states[0], pos) + d.class_states[2:])
     assert any(v.startswith("C4") for v in check(retyped, ctx))
-
-
-def test_equality_atoms_not_in_atom_values(s1):
-    empty = OneType(())
-    d = search(ctx_for(s1, empty, empty))
-    assert d.atom_values == ()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ def test_ext_degenerates_without_relations(s1):
     d = search(ext_ctx_for(s1, empty, state))
     plain = search(ctx_for(s1, empty, empty))
     assert d.partition == plain.partition
-    assert d.atom_values == plain.atom_values
+    assert d.valuation == plain.valuation
     assert check(d, ext_ctx_for(s1, empty, state)) == []
 
 
@@ -226,9 +223,7 @@ def test_ext_c7_checked(s4):
     # swap the y-class extended type for one violating C7
     bad_ext = list(d.class_states)
     bad_ext[d.partition[2]] = start  # zx bit false, but atom R(z,y) is true
-    mutant = WitnessDescriptor(
-        partition=d.partition, class_states=tuple(bad_ext),
-        atom_values=d.atom_values, padding_count=d.padding_count)
+    mutant = replace(d, class_states=tuple(bad_ext))
     assert any(v.startswith("C7") for v in check(mutant, ctx))
 
 
@@ -239,11 +234,8 @@ def test_ext_fault_reported_once():
     ctx = ext_ctx_for(s, neg, initial_extended_type(s.signature, neg))
     d = search(ctx)
     cx = d.partition[1]
-    flipped = tuple((name, ct, not v if ct == (cx, cx) else v)
-                    for name, ct, v in d.atom_values)
-    mutant = WitnessDescriptor(
-        partition=d.partition, class_states=d.class_states,
-        atom_values=flipped, padding_count=d.padding_count)
+    j = atom_keys(s, d.partition).index(("R", (cx, cx)))
+    mutant = replace(d, valuation=d.valuation ^ 1 << j)
     key = f"(R, {(cx, cx)})"
     lines = [v for v in check(mutant, ctx) if key in v]
     assert len(lines) == 1 and lines[0].startswith("C2"), lines
@@ -351,8 +343,7 @@ def test_states_share_a_first_walk(monkeypatch):
     db = search(ctx_for(s, pi0, b), plan)
     assert walked and len(depths) == walked and depths.count(0) == 1
     assert da.partition == db.partition == (0, 1, 2)
-    assert da.atom_values == db.atom_values
-    assert da.padding_count == db.padding_count
+    assert da.valuation == db.valuation
     assert da.class_states[1] == a and db.class_states[1] == b
     assert da.class_states[::2] == db.class_states[::2]
     assert (da, db) == (search(ctx_for(s, pi0, a)),
