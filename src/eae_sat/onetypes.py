@@ -10,10 +10,10 @@ fixed reference element b0, the truth of R(w) for every argument pattern
 w over {b0, a}.  Pattern indices are integers whose bit j says whether
 argument j is the current element (1) or the reference element (0).
 
-Both kinds of state share what the witness search reads: `bits`, a flat
-bit tuple; `index()`, the canonical position; and `own_type()`, the
-element's 1-type.  The solver picks the state of b0 itself, the root:
-pi0, or `initial_extended_type(sig, pi0)`.
+The witness search reads a state only through `bits`, a flat bit tuple;
+binary counting over it, first bit least significant, is the canonical
+order.  `own_type()` gives the element's 1-type.  The solver picks the
+state of b0 itself, the root: pi0, or `initial_extended_type(sig, pi0)`.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ DEFAULT_ARITY_CAP = 3
 
 class ArityCapExceeded(Exception):
     """A relation's arity exceeds the cap for extended-type solving."""
-
-    def __init__(self, name, arity, cap):
-        self.name = name
-        self.arity = arity
-        self.cap = cap
-        super().__init__(
-            f"relation {name} has arity {arity}, above the extended-type "
-            f"arity cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +70,6 @@ class ExtendedType:
     def own_type(self):
         """Projection to all-current-element patterns: the element's 1-type."""
         return OneType(tuple(p[-1] for p in self.patterns))
-
-    def index(self):
-        """Canonical position: binary counting over all pattern bits."""
-        return sum(1 << j for j, b in enumerate(self.bits) if b)
 
 
 def _forced_bit(sig, name, ctuple, cz, kind):
@@ -132,7 +120,9 @@ def initial_extended_type(sig, pi0):
 def check_arity_cap(sig, cap=DEFAULT_ARITY_CAP):
     for name, arity in sig:
         if arity > cap:
-            raise ArityCapExceeded(name, arity, cap)
+            raise ArityCapExceeded(
+                f"relation {name} has arity {arity}, above the extended-type "
+                f"arity cap {cap}")
 
 
 def enumerate_extended_types(sig, pi0, cap=DEFAULT_ARITY_CAP):

@@ -1,4 +1,4 @@
-"""Explicit finite models: evaluation, realization, oracle, staged building.
+"""Explicit finite models: evaluation, oracle, staged building.
 
 The brute-force model search is the independent oracle the solvers are
 differential-tested against: it enumerates every structure up to a size
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .onetypes import OneType, render_one_type, type_of_element
+from .onetypes import OneType, type_of_element
 from .syntax import Signature, atom_keys, equalities_of, eval_matrix
 
 
@@ -127,41 +127,6 @@ def eval_sentence(structure, sentence):
     if structure.size == 0:
         raise EmptyUniverseError("sentences have no truth value over an empty universe")
     return bool(_models(sentence, 1, _point_extents(structure), structure.size))
-
-
-# ---------------------------------------------------------------------------
-# Descriptor realization
-# ---------------------------------------------------------------------------
-
-def descriptor_to_structure(d, sentence):
-    """Realize a valid descriptor as an (n+2)-element structure + assignment.
-
-    One element per class in class-id order, then padding duplicates of
-    the z-class (same 1-type, no other relations).  Extents hold exactly
-    the class-type diagonals and the true atoms; everything else is
-    false.
-    """
-    sig = sentence.signature
-    nclasses = d.num_classes
-    size = len(d.partition)
-    cz = d.partition[0]
-    extents = {name: set() for name, _ in sig}
-    for c, t in enumerate(d.class_types):
-        for i, (name, arity) in enumerate(sig):
-            if t.bit(i):
-                extents[name].add((c,) * arity)
-    for pad in range(nclasses, size):
-        for i, (name, arity) in enumerate(sig):
-            if d.class_types[cz].bit(i):
-                extents[name].add((pad,) * arity)
-    for j, (name, ctuple) in enumerate(atom_keys(sentence, d.partition)):
-        if d.valuation >> j & 1:
-            extents[name].add(ctuple)
-    structure = FiniteStructure(
-        signature=sig, size=size,
-        extents={name: frozenset(ts) for name, ts in extents.items()})
-    assignment = {v: d.partition[i] for i, v in enumerate(sentence.prefix_vars)}
-    return structure, assignment
 
 
 # ---------------------------------------------------------------------------
@@ -380,45 +345,3 @@ def build_model_sequence(sentence, cert, depth):
             signature=sig, size=next_fresh, extents=new_extents))
 
     return StagedModel(stages=stages, b0=b0, glue=glue)
-
-
-def verify_construction(staged, sentence, cert):
-    """Independent check of the two gluing requirements; returns failures.
-
-    R1: every element of every stage realizes a type the strategy covers.
-    R2: every element of stage i has a recorded witness tuple making the
-    matrix true in stage i+1.
-    """
-    failures = []
-    sig = sentence.signature
-    good = cert.good_types
-    strategy = dict(cert.strategy)
-    for i, st in enumerate(staged.stages):
-        for a in range(st.size):
-            if type_of_element(st, a) not in good:
-                failures.append(
-                    f"R1: stage {i} element {a} realizes "
-                    f"{render_one_type(type_of_element(st, a), sig)}, "
-                    "not covered by the strategy")
-    by_key = {(g.stage, g.b): g for g in staged.glue}
-    for i in range(len(staged.stages) - 1):
-        nxt = staged.stages[i + 1]
-        for b in range(staged.stages[i].size):
-            g = by_key.get((i + 1, b))
-            if g is None:
-                failures.append(f"R2: stage {i} element {b} has no glue record")
-                continue
-            d = strategy.get(g.pi)
-            emap = dict(g.element_map)
-            var_class = {v: d.partition[j]
-                         for j, v in enumerate(sentence.prefix_vars)}
-            assignment = {v: emap[var_class[v]] for v in sentence.prefix_vars}
-            if assignment[sentence.z] != staged.b0 or assignment[sentence.x] != b:
-                failures.append(
-                    f"R2: stage {i} element {b} glue record maps z/x wrongly")
-                continue
-            if not eval_qf(nxt, assignment, sentence.matrix):
-                failures.append(
-                    f"R2: stage {i} element {b}: matrix false under the "
-                    "recorded witness tuple")
-    return failures

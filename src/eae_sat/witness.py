@@ -194,7 +194,7 @@ class SearchPlan:
         """The states of `allowed` in canonical order."""
         out = self._ordered.get(allowed)
         if out is None:
-            # bits from the last: the order of index(), without the sums
+            # bits from the last: binary counting, first bit least significant
             out = self._ordered[allowed] = sorted(
                 allowed, key=lambda s: s.bits[::-1])
         return out

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # for the corpus helper
 
-from eae_sat import parse
+from eae_sat.syntax import parse
 from eae_sat.witness import CheckFrames, SearchPlan, check_descriptor, find_witness
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")

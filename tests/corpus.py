@@ -1,7 +1,9 @@
 """Seeded random sentence generator for cross-method and oracle testing.
 
 Desk-scale instances: at most two relation symbols (arities 1 and 2), at
-most two trailing existentials, at most six atoms in the matrix.
+most two trailing existentials, at most six atoms in the matrix.  The
+`ARITY3` shapes draw atoms from a ternary T, alone or beside R/2: there
+the oracle stops at size 2, so they serve checks that need no oracle.
 """
 
 import random
@@ -15,6 +17,11 @@ _SIG_CHOICES = [
     [("P", 1)],
     [("R", 2)],
     [("P", 1), ("R", 2)],
+]
+
+ARITY3 = [
+    [("T", 3)],
+    [("R", 2), ("T", 3)],
 ]
 
 
@@ -34,12 +41,12 @@ def random_matrix(rng, leaves):
     return root
 
 
-def random_sentence(rng):
+def random_sentence(rng, shapes=_SIG_CHOICES):
     n = rng.randint(0, 2)
     explicit_z = rng.random() < 0.7
     ys = ["y1", "y2"][:n]
     atom_vars = (["z"] if explicit_z else []) + ["x"] + ys
-    rels = rng.choice(_SIG_CHOICES)
+    rels = rng.choice(shapes)
 
     natoms = rng.randint(1, 6)
     leaves = []
@@ -63,6 +70,6 @@ def random_sentence(rng):
     return validate_prefix(blocks, matrix)
 
 
-def corpus(size=200, seed=SEED):
+def corpus(size=200, seed=SEED, shapes=_SIG_CHOICES):
     rng = random.Random(seed)
-    return [random_sentence(rng) for _ in range(size)]
+    return [random_sentence(rng, shapes) for _ in range(size)]

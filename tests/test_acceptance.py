@@ -26,17 +26,15 @@ from eae_sat.structures import (
     ConstructionConflict,
     brute_force_search,
     build_model_sequence,
-    descriptor_to_structure,
     eval_qf,
     type_of_element,
-    verify_construction,
 )
 from eae_sat.syntax import atom_keys, load_sentence
 from eae_sat.witness import find_witness
 
 import corpus
 from conftest import fixture_path, search
-from naive import naive_witnesses
+from naive import descriptor_to_structure, naive_witnesses, verify_construction
 
 METHODS = ("gfp", "game", "extended")
 

@@ -14,16 +14,16 @@ from eae_sat.structures import (
     UnboundVariableError,
     brute_force_search,
     build_model_sequence,
-    descriptor_to_structure,
     eval_qf,
     eval_sentence,
-    verify_construction,
 )
 from eae_sat.syntax import Signature, parse
 
 import corpus
 from conftest import search
-from naive import eval_sentence_naive, naive_witnesses
+from naive import (
+    descriptor_to_structure, eval_sentence_naive, naive_witnesses,
+    verify_construction)
 
 SIG_R = Signature((("R", 2),))
 SIG_E = Signature((("E", 2),))

@@ -201,7 +201,7 @@ def test_extract_signature(s1, s2, s3):
 
 def test_synthesis_neutrality():
     # explicit-but-unused z and synthesized z give the same verdicts
-    from eae_sat import solve
+    from eae_sat.solver import solve
     explicit = parse("exists z. forall x. exists y. (E(x,y) & ~E(x,x))")
     implicit = parse("forall x. exists y. (E(x,y) & ~E(x,x))")
     for method in ("gfp", "game", "extended"):

@@ -12,7 +12,7 @@ from eae_sat.onetypes import (
     enumerate_one_types,
     initial_extended_type,
 )
-from eae_sat.structures import descriptor_to_structure, eval_qf, type_of_element
+from eae_sat.structures import eval_qf, type_of_element
 from eae_sat import solver, structures, witness
 from eae_sat.solver import extended_solve, gfp_solve
 from eae_sat.syntax import atom_keys, load_sentence, parse
@@ -20,7 +20,7 @@ from eae_sat.witness import SearchPlan, WitnessDescriptor, find_witness
 
 import corpus
 from conftest import FIXTURE_DIR, check, fixture_path, search
-from naive import candidate_count, naive_witnesses
+from naive import candidate_count, descriptor_to_structure, naive_witnesses
 
 
 def key_values(d, sentence):
