@@ -13,7 +13,8 @@ the flags it reads; any other flag is a usage error:
 Exit codes: 10 = SAT, 20 = UNSAT, 0 = success for the non-verdict
 commands (and diff agreement), 1 = usage error, 2 = parse or fragment
 error, 3 = internal invariant breach or construction conflict, 4 =
-certificate rejection or hard method disagreement.
+certificate rejection or hard method disagreement.  When the oracle's
+budget runs out, diff still prints its verdicts, then exits 1.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class _Out:
     def __init__(self, path):
         self.path = path
         self.lines = []
+        self.error = None  # raised by main once the report is written
 
     def write(self, text):
         self.lines.append(text)
@@ -80,13 +82,6 @@ class _Out:
             stdout.write(text)
 
 
-def _solve(sentence, method, args, memo=None):
-    kwargs = {} if memo is None else {"memo": memo}
-    if method == "extended":
-        kwargs["arity_cap"] = args.arity_cap
-    return solver.solve(sentence, method=method, **kwargs)
-
-
 def _verdict_line(outcome, sentence):
     sig = sentence.signature
     if outcome.verdict == "SAT":
@@ -96,7 +91,7 @@ def _verdict_line(outcome, sentence):
 
 
 def cmd_check(sentence, args, out):
-    outcome = _solve(sentence, args.method, args)
+    outcome = solver.solve(sentence, args.method, args.arity_cap)
     if outcome.certificate is not None:
         bad = check_certificate(sentence, outcome.certificate)
         if bad:
@@ -129,13 +124,17 @@ def cmd_diff(sentence, args, out):
     # one memo: game, and extended's plain eliminations and certificate,
     # reuse gfp's searches
     memo = solver.Memo(sentence)
-    verdicts = {}
-    for method in solver.METHODS:
-        verdicts[method] = _solve(sentence, method, args, memo).verdict
-    model = structures.brute_force_search(
-        sentence, args.max_size, budget=args.max_structures)
-    oracle = (f"model of size {model.size}" if model is not None
-              else f"no model up to size {args.max_size}")
+    verdicts = {m: solver.solve(sentence, m, args.arity_cap, memo).verdict
+                for m in solver.METHODS}
+    try:
+        model = structures.brute_force_search(
+            sentence, args.max_size, budget=args.max_structures)
+        oracle = (f"model of size {model.size}" if model is not None
+                  else f"no model up to size {args.max_size}")
+    except OracleBudgetExceeded as e:
+        # the verdicts stand without the oracle; main exits 1 after them
+        model, out.error = None, e
+        oracle = f"budget exceeded after {e.count} structures"
 
     # gfp and game run one fixpoint through one memo, so they never
     # disagree; extended accepts a pi0 only after that elimination did,
@@ -146,16 +145,17 @@ def cmd_diff(sentence, args, out):
             if verdicts[method] == "UNSAT":
                 hard.append(f"oracle found a model but {method} says UNSAT")
 
+    exhausted = model is None and out.error is None  # no model in the bound
     divergence = (verdicts["extended"] == "UNSAT"
-                  and verdicts["gfp"] == "SAT" and model is None)
-    inconclusive = (model is None
-                    and all(v == "SAT" for v in verdicts.values()))
+                  and verdicts["gfp"] == "SAT" and exhausted)
+    inconclusive = exhausted and all(v == "SAT" for v in verdicts.values())
 
     if args.json:
         out.write(serialize.dumps({
             "verdicts": verdicts,
             "oracle": serialize.structure_to_json(model) if model else None,
             "oracle_bound": args.max_size,
+            "oracle_error": oracle if out.error else None,
             "hard_disagreements": hard,
             "divergence": divergence,
         }))
@@ -301,6 +301,8 @@ def main(argv=None, stdout=None, stderr=None):
         sentence = syntax.load_sentence(args.input)
         code = _COMMANDS[args.command][0](sentence, args, out)
         out.flush(stdout)
+        if out.error:
+            raise out.error
     except OSError as e:
         stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -125,14 +125,13 @@ def check_arity_cap(sig, cap=DEFAULT_ARITY_CAP):
                 f"arity cap {cap}")
 
 
-def enumerate_extended_types(sig, pi0, cap=DEFAULT_ARITY_CAP):
+def enumerate_extended_types(sig, pi0):
     """All extended types whose reference projection is pi0, canonical order.
 
     Pattern 0 of each relation is pi0's bit; the other patterns count in
     binary, the first relation's lowest, which keeps the canonical order
-    since the fixed bits do not move.
+    since the fixed bits do not move.  The caller checks the arity cap.
     """
-    check_arity_cap(sig, cap)
     per_relation = []
     for r, (_, arity) in enumerate(sig):
         w = (1 << arity) - 1

@@ -4,7 +4,7 @@ All three methods run one engine, `_eliminate`: starting from a finite
 set of states, repeatedly discard every state that has no witness whose
 realized states all survive, until nothing changes.  Each round searches
 the root, z's own state, first, and a root with no witness ends the
-elimination with nothing left.  A candidate driver tries each starting
+elimination with nothing left.  One loop, `_decide`, tries each starting
 type pi0 in canonical order and stops at the first one accepted, the
 first whose root survives.  The methods differ only in their states:
 
@@ -91,17 +91,16 @@ class Memo:
     type among extended types.  The search follows the state's kind.
     Every search runs through one SearchPlan, built at the first search,
     which lives as long as the memo.  Solves of one sentence may share a
-    memo: each answer is searched once, while `begin` starts a solve's
-    own count, in which a key is a search the first time that solve asks
-    it and a hit after.  They share its 1-types too, so a key built by
-    one solve holds the very objects another solve looks it up with.
+    memo, and it counts each search once: a key already in its table is
+    a hit, any other key a search, so a key one solve searched is a hit
+    for the next.  They share its 1-types too, so a key built by one
+    solve holds the very objects another solve looks it up with.
     """
 
     def __init__(self, sentence):
         self.sentence = sentence
         self.one_types = enumerate_one_types(sentence.signature)
-        self.table = {}  # key -> [descriptor or None, solve that last asked]
-        self.solve = 0
+        self.table = {}  # key -> descriptor or None
         self.searches = 0
         self.hits = 0
 
@@ -109,27 +108,18 @@ class Memo:
     def plan(self):
         return SearchPlan(self.sentence)
 
-    def begin(self):
-        self.solve += 1
-        self.searches = 0
-        self.hits = 0
-
     def find(self, root, state, allowed):
         key = (root, state, allowed)
-        entry = self.table.get(key)
-        if entry is not None and entry[1] == self.solve:
+        if key in self.table:
             self.hits += 1
-            return entry[0]
+            return self.table[key]
         self.searches += 1
-        if entry is None:
-            entry = self.table[key] = [find_witness(
-                self.plan, root, state, allowed), self.solve]
-        entry[1] = self.solve
-        return entry[0]
+        self.table[key] = find_witness(self.plan, root, state, allowed)
+        return self.table[key]
 
 
 # ---------------------------------------------------------------------------
-# The elimination engine and the candidate driver
+# The elimination engine and the candidate loop
 # ---------------------------------------------------------------------------
 
 def _eliminate(pi0, states, root, memo):
@@ -159,38 +149,44 @@ def _eliminate(pi0, states, root, memo):
         good = [s for s in good if s not in dead]
 
 
-def _certificate(pi0, good, memo):
-    """The positional strategy over the surviving 1-types `good`."""
-    allowed = frozenset(good)
-    return Certificate(pi0=pi0, strategy=tuple(
-        (pi, memo.find(pi0, pi, allowed)) for pi in good))
-
-
-def _decide(method, memo, eliminate, certify=None):
+def _decide(method, memo):
     """Try each starting type pi0 in canonical order; stop at the first accepted.
 
-    `eliminate(pi0)` gives the candidate's trace: pi0 is accepted iff
-    anything survives, since `_eliminate` empties a trace whose root
-    dies.  `certify(pi0, surviving)`, when given, builds the
-    certificate of the accepted candidate.
+    A candidate runs the plain elimination, then for `extended`, if pi0
+    survives, the extended one (see `extended_solve`).  pi0 is accepted
+    iff the last elimination leaves anything, and its certificate,
+    except under `game`, is the positional strategy over the plain
+    survivors.
     """
     t0 = time.perf_counter()
-    memo.begin()
+    searches, hits = memo.searches, memo.hits
+    sig = memo.sentence.signature
     stats = SolveStats(types_total=len(memo.one_types))
     traces = []
     for pi0 in memo.one_types:
-        trace = eliminate(pi0)
+        trace = _eliminate(pi0, memo.one_types, pi0, memo)
+        good = trace.surviving
+        if good and method == "extended":
+            own = set(good)
+            states = [s for s in enumerate_extended_types(sig, pi0)
+                      if s.own_type() in own]
+            trace = _eliminate(pi0, states, initial_extended_type(sig, pi0),
+                               memo)
         traces.append(trace)
         if trace.surviving:
-            cert = certify(pi0, trace.surviving) if certify else None
+            cert = None
+            if method != "game":
+                allowed = frozenset(good)
+                cert = Certificate(pi0=pi0, strategy=tuple(
+                    (pi, memo.find(pi0, pi, allowed)) for pi in good))
             outcome = SolveOutcome(verdict="SAT", method=method, pi0=pi0,
                                    certificate=cert, stats=stats)
             break
     else:
         outcome = SolveOutcome(verdict="UNSAT", method=method,
                                refutation=traces, stats=stats)
-    stats.witness_searches = memo.searches
-    stats.cache_hits = memo.hits
+    stats.witness_searches = memo.searches - searches
+    stats.cache_hits = memo.hits - hits
     stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return outcome
 
@@ -205,10 +201,7 @@ def gfp_solve(sentence, memo=None):
     `memo`, here and in the other methods, is a `Memo` of the same
     sentence that earlier solves may have filled.
     """
-    memo = memo or Memo(sentence)
-    return _decide("gfp", memo,
-                   lambda pi0: _eliminate(pi0, memo.one_types, pi0, memo),
-                   lambda pi0, good: _certificate(pi0, good, memo))
+    return _decide("gfp", memo or Memo(sentence))
 
 
 def bounded_game_solve(sentence, memo=None):
@@ -223,9 +216,7 @@ def bounded_game_solve(sentence, memo=None):
     exactly the set left by elimination run until nothing changes: the
     game is decided by that elimination, at any depth.
     """
-    memo = memo or Memo(sentence)
-    return _decide("game", memo,
-                   lambda pi0: _eliminate(pi0, memo.one_types, pi0, memo))
+    return _decide("game", memo or Memo(sentence))
 
 
 def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
@@ -246,25 +237,11 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
     from all of them.  `witness_searches` counts both kinds of search.
 
     SAT results carry the plain certificate over the plain survivors
-    just computed for the same starting type.
+    just computed for the same starting type.  `arity_cap` is checked
+    once, before any search.
     """
-    sig = sentence.signature
-    check_arity_cap(sig, arity_cap)
-    memo = memo or Memo(sentence)
-    plain = {}  # pi0 -> its plain survivors, in canonical order
-
-    def eliminate(pi0):
-        trace = _eliminate(pi0, memo.one_types, pi0, memo)
-        if not trace.surviving:
-            return trace
-        plain[pi0] = trace.surviving
-        good = set(trace.surviving)
-        states = [s for s in enumerate_extended_types(sig, pi0, cap=arity_cap)
-                  if s.own_type() in good]
-        return _eliminate(pi0, states, initial_extended_type(sig, pi0), memo)
-
-    return _decide("extended", memo, eliminate,
-                   lambda pi0, _: _certificate(pi0, plain[pi0], memo))
+    check_arity_cap(sentence.signature, arity_cap)
+    return _decide("extended", memo or Memo(sentence))
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +271,12 @@ def check_certificate(sentence, cert):
 METHODS = ("gfp", "game", "extended")
 
 
-def solve(sentence, method="gfp", **kwargs):
-    """Dispatch to one of the solving methods (default: gfp)."""
+def solve(sentence, method="gfp", arity_cap=DEFAULT_ARITY_CAP, memo=None):
+    """Dispatch to a method (default gfp); only `extended` reads `arity_cap`."""
     if method == "gfp":
-        return gfp_solve(sentence, **kwargs)
+        return gfp_solve(sentence, memo)
     if method == "game":
-        return bounded_game_solve(sentence, **kwargs)
+        return bounded_game_solve(sentence, memo)
     if method == "extended":
-        return extended_solve(sentence, **kwargs)
+        return extended_solve(sentence, arity_cap, memo)
     raise ValueError(f"unknown method {method!r}")

@@ -39,6 +39,21 @@ def test_check_extended_s4():
     assert code == 20
 
 
+def test_arity_cap_reaches_only_extended():
+    s4 = fixture_path("s4.fo")
+    code, out, err = run("check", s4, "--method", "extended",
+                         "--arity-cap", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: relation R has arity 2, above the extended-type "
+                   "arity cap 1\n")
+    assert run("check", s4, "--method", "gfp", "--arity-cap", "1") == \
+        run("check", s4, "--method", "gfp") == (10, "SAT (method=gfp, "
+                                                 "pi0={-R})\n", "")
+    code, out, err = run("diff", s4, "--arity-cap", "1")
+    assert (code, out) == (1, "")
+    assert "arity cap 1" in err
+
+
 def test_check_json_outcome():
     code, out, _ = run("check", fixture_path("s3.fo"), "--json")
     assert code == 10
@@ -255,6 +270,29 @@ def test_diff_json():
     assert obj["oracle"] is None
     assert obj["divergence"] is True
     assert obj["hard_disagreements"] == []
+
+
+def test_diff_keeps_verdicts_when_budget_runs_out(tmp_path):
+    s3 = fixture_path("s3.fo")
+    budget = ("--max-structures", "1")
+    error = "error: brute-force budget exceeded after 2 structures\n"
+    text = ("gfp       SAT\ngame      SAT\nextended  SAT\n"
+            "oracle    budget exceeded after 2 structures\n")
+    assert run("diff", s3, *budget) == (1, text, error)
+    code, out, err = run("diff", s3, *budget, "--json")
+    assert (code, err) == (1, error)
+    assert json.loads(out) == {
+        "verdicts": {"gfp": "SAT", "game": "SAT", "extended": "SAT"},
+        "oracle": None, "oracle_bound": 3,
+        "oracle_error": "budget exceeded after 2 structures",
+        "hard_disagreements": [], "divergence": False}
+    report = tmp_path / "diff.txt"
+    assert run("diff", s3, *budget, "-o", str(report)) == (1, "", error)
+    assert report.read_text() == text
+    # brute has no verdicts to keep: no output, so no -o file
+    brute = tmp_path / "brute.txt"
+    assert run("brute", s3, *budget, "-o", str(brute)) == (1, "", error)
+    assert not brute.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -384,8 +384,8 @@ def test_plain_rejected_candidates_enumerate_no_extended_types(monkeypatch):
     calls = []
     enumerate_ext = solver.enumerate_extended_types
     monkeypatch.setattr(solver, "enumerate_extended_types",
-                        lambda sig, pi0, cap: calls.append(pi0)
-                        or enumerate_ext(sig, pi0, cap))
+                        lambda sig, pi0: calls.append(pi0)
+                        or enumerate_ext(sig, pi0))
     rejected = 0
     for s in corpus.corpus(size=300, seed=7):
         del calls[:]
@@ -399,10 +399,11 @@ def test_plain_rejected_candidates_enumerate_no_extended_types(monkeypatch):
 
 
 def test_shared_memo_gives_each_solve_its_own_outcome(monkeypatch):
-    # diff's solves through one memo: the same outcomes and per-solve
-    # stats as alone, no witness search runs twice, and the 1-types are
-    # enumerated once, so memo keys of different solves hold one set of
-    # objects
+    # diff's solves through one memo: the same outcomes as alone, no
+    # witness search runs twice and each counts in the solve that ran
+    # it, the first solve's stats are its stats alone, and the 1-types
+    # are enumerated once, so memo keys of different solves hold one
+    # set of objects
     calls = []
     enums = []
     find = solver.find_witness
@@ -421,9 +422,12 @@ def test_shared_memo_gives_each_solve_its_own_outcome(monkeypatch):
         shared = [solve(s, method=m, memo=memo) for m in METHODS]
         assert len(calls) == len(set(calls)) == len(memo.table)
         assert enums == [s.signature]
+        assert sum(b.stats.witness_searches for b in shared) == len(calls)
         saved += searched_alone - len(calls)
+        shared[0].stats.elapsed_ms = alone[0].stats.elapsed_ms
+        assert shared[0].stats == alone[0].stats
         for a, b in zip(alone, shared):
-            b.stats.elapsed_ms = a.stats.elapsed_ms
+            b.stats = a.stats
             assert a == b
     assert saved > 0
 
@@ -462,4 +466,26 @@ def test_s7_has_no_small_model():
                    "no search requires one yet (ROADMAP item 1)")
 def test_s7_extended_refutes():
     s = load_sentence(fixture_path("s7_false_sat.fo"))
+    assert extended_solve(s).verdict == "UNSAT"
+
+
+def test_z_false_sats_have_no_small_model():
+    # size 4 takes seconds on z_rel_false_sat
+    for name, size in (("z_eq_false_sat", 4), ("z_rel_false_sat", 3)):
+        s = load_sentence(fixture_path(name + ".fo"))
+        assert brute_force_search(s, size) is None, name
+
+
+@pytest.mark.xfail(strict=True, reason="x = z forces one element, and no "
+                   "search requires z's own witness yet (ROADMAP item 1)")
+@pytest.mark.parametrize("method", METHODS)
+def test_z_eq_false_sat_refuted(method):
+    s = load_sentence(fixture_path("z_eq_false_sat.fo"))
+    assert solve(s, method=method).verdict == "UNSAT"
+
+
+@pytest.mark.xfail(strict=True, reason="z needs a witness of its own, and "
+                   "no search requires one yet (ROADMAP item 1)")
+def test_z_rel_extended_refutes():
+    s = load_sentence(fixture_path("z_rel_false_sat.fo"))
     assert extended_solve(s).verdict == "UNSAT"
