@@ -1,7 +1,8 @@
 """Byte-exact CLI outputs on every fixture.
 
 Each fixture's stdout and exit code under `check --json` (all three
-methods), `model --depth 3` and `diff --max-size 3` are pinned in
+methods), `model --depth 3`, `diff --max-size 3`, `parse` and
+`parse --json` are pinned in
 `tests/golden/<fixture>.json`.  The fixtures under `wide/` have
 partitions with more atom keys than one truth-table chunk holds; they
 sit apart because a plan for them costs tenths of a second, too much
@@ -36,6 +37,8 @@ COMMANDS = {
     "check-extended": ["check", "--json", "--method", "extended"],
     "model": ["model", "--depth", "3"],
     "diff": ["diff", "--max-size", "3"],
+    "parse": ["parse"],
+    "parse-json": ["parse", "--json"],
 }
 
 
