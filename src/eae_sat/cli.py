@@ -174,19 +174,6 @@ def cmd_diff(sentence, args, out):
     return EXIT_DISAGREE if hard else EXIT_OK
 
 
-def _dump_ast(node, indent=0):
-    pad = "  " * indent
-    if isinstance(node, syntax.Rel):
-        return f"{pad}Rel {node.name}({', '.join(node.args)})\n"
-    if isinstance(node, syntax.Eq):
-        return f"{pad}Eq {node.left} = {node.right}\n"
-    if isinstance(node, syntax.Not):
-        return f"{pad}Not\n" + _dump_ast(node.sub, indent + 1)
-    name = type(node).__name__
-    return (f"{pad}{name}\n" + _dump_ast(node.left, indent + 1)
-            + _dump_ast(node.right, indent + 1))
-
-
 def cmd_parse(sentence, args, out):
     if args.json:
         out.write(serialize.dumps({
@@ -201,7 +188,7 @@ def cmd_parse(sentence, args, out):
         out.write(syntax.format_sentence(sentence) + "\n")
         sig = ", ".join(f"{n}/{a}" for n, a in sentence.signature)
         out.write(f"signature: {{{sig}}}\n")
-        out.write(_dump_ast(sentence.matrix))
+        out.write(syntax.dump_matrix(sentence.matrix))
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ from .onetypes import (
     enumerate_extended_types,
     enumerate_one_types,
     initial_extended_type,
+    render_one_type,
 )
 from .witness import CheckFrames, SearchPlan, check_descriptor, find_witness
 
@@ -264,7 +265,8 @@ def check_certificate(sentence, cert):
         violations.append("pi0 is not covered by the strategy")
     for pi, d in cert.strategy:
         for v in check_descriptor(d, frames, cert.pi0, pi, keys):
-            violations.append(f"entry {pi.bits}: {v}")
+            violations.append(
+                f"entry {render_one_type(pi, sentence.signature)}: {v}")
     return violations
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
+from . import syntax
 from .onetypes import OneType, type_of_element
 from .syntax import Signature, atom_keys, equalities_of, eval_matrix
 
@@ -133,30 +133,6 @@ def eval_sentence(structure, sentence):
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-_CHUNK_BITS = 14  # up to 2**14 structures (or valuations) per evaluation
-
-
-@lru_cache(maxsize=None)
-def slot_patterns(bits):
-    """The bitset of all 2**bits table entries, and per slot j < bits the
-    entries whose bit j is set: the periodic pattern of runs of 2**j."""
-    full = (1 << (1 << bits)) - 1
-    return full, tuple(full ^ full // ((1 << (1 << j)) + 1) for j in range(bits))
-
-
-def chunk_extents(slots, bits, chunk):
-    """The extents of one chunk of a table over `slots`, the (relation,
-    tuple) per bit position: slot j < bits holds on the entries whose
-    bit j is set, a higher slot on all of them if bit j - bits of
-    `chunk` is set, else on none."""
-    full, inner = slot_patterns(bits)
-    ext = {}
-    for j, (name, tup) in enumerate(slots):
-        ext.setdefault(name, {})[tup] = (
-            inner[j] if j < bits else full if chunk >> j - bits & 1 else 0)
-    return ext
-
-
 def _models(sentence, full, ext, size):
     """Bitset of the table's structures that satisfy the sentence."""
     matrix, z, x, ys = sentence.matrix, sentence.z, sentence.x, sentence.ys
@@ -191,7 +167,7 @@ def brute_force_search(sentence, max_size, budget=10**7):
     binary counting over the concatenated tuple list (relations in
     signature order, tuples in positional product order, first tuple as
     least significant bit).  Exhaustive within the bound.  Structures are
-    evaluated as bitsets, up to 2**_CHUNK_BITS at a time: the low slots
+    evaluated as bitsets, up to 2**syntax.CHUNK_BITS at a time: the low slots
     vary inside a chunk and the others are fixed per chunk, so the lowest
     satisfying bit is the first model in the enumeration.  A budget of n
     structures raises OracleBudgetExceeded(n + 1) unless a model lies
@@ -206,11 +182,12 @@ def brute_force_search(sentence, max_size, budget=10**7):
         for name, arity in sig:
             for tup in product(range(k), repeat=arity):
                 slots.append((name, tup))
-        bits = min(len(slots), _CHUNK_BITS)
+        bits = min(len(slots), syntax.CHUNK_BITS)
         width = 1 << bits
-        full = slot_patterns(bits)[0]
+        full = syntax.slot_patterns(bits)[0]
         for chunk in range(1 << (len(slots) - bits)):
-            found = _models(sentence, full, chunk_extents(slots, bits, chunk), k)
+            found = _models(sentence, full,
+                            syntax.chunk_extents(slots, bits, chunk), k)
             if found:
                 first = (found & -found).bit_length() - 1
                 if count + first >= budget:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class ParseError(Exception):
@@ -65,32 +65,14 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class Bin:
+    op: str  # an operator symbol of _LEVELS
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: object
-    right: object
-
-
-# binary operators, loosest first; each level chains to the left
-_LEVELS = (("<->", Iff), ("->", Imp), ("|", Or), ("&", And))
-_BINOPS = {cls: op for op, cls in _LEVELS}
+# (symbol, dump name) per binary operator, loosest first; each chains left
+_LEVELS = (("<->", "Iff"), ("->", "Imp"), ("|", "Or"), ("&", "And"))
 
 
 @dataclass(frozen=True)
@@ -285,12 +267,12 @@ class _Parser:
     def formula(self, level=0):
         """A chain of `_LEVELS[level]` operators.  The last level calls
         `lit` itself: a parenthesis costs one frame per level, plus one."""
-        op, cls = _LEVELS[level]
+        op = _LEVELS[level][0]
         last = level == len(_LEVELS) - 1
         node = self.lit() if last else self.formula(level + 1)
         while self.peek() == op:
             self.next()
-            node = cls(node, self.lit() if last else self.formula(level + 1))
+            node = Bin(op, node, self.lit() if last else self.formula(level + 1))
         return node
 
     def lit(self):
@@ -410,8 +392,21 @@ def format_matrix(node):
         return f"{node.left} = {node.right}"
     if isinstance(node, Not):
         return f"(~{format_matrix(node.sub)})"
-    op = _BINOPS[type(node)]
-    return f"({format_matrix(node.left)} {op} {format_matrix(node.right)})"
+    return f"({format_matrix(node.left)} {node.op} {format_matrix(node.right)})"
+
+
+def dump_matrix(node, indent=0):
+    """One line per node, children indented below their parent."""
+    pad = "  " * indent
+    if isinstance(node, Rel):
+        return f"{pad}Rel {node.name}({', '.join(node.args)})\n"
+    if isinstance(node, Eq):
+        return f"{pad}Eq {node.left} = {node.right}\n"
+    if isinstance(node, Not):
+        return f"{pad}Not\n" + dump_matrix(node.sub, indent + 1)
+    name = dict(_LEVELS)[node.op]
+    return (f"{pad}{name}\n" + dump_matrix(node.left, indent + 1)
+            + dump_matrix(node.right, indent + 1))
 
 
 def format_sentence(s):
@@ -445,20 +440,45 @@ def eval_matrix(node, ext, env, full=1):
         return full if env[node.left] == env[node.right] else 0
     if isinstance(node, Not):
         return full ^ eval_matrix(node.sub, ext, env, full)
+    op = node.op
     a = eval_matrix(node.left, ext, env, full)
-    if isinstance(node, And):
+    if op == "&":
         return a and a & eval_matrix(node.right, ext, env, full)
-    if isinstance(node, Or):
+    if op == "|":
         if a == full:
             return a
         return a | eval_matrix(node.right, ext, env, full)
-    if isinstance(node, Imp):
+    if op == "->":
         if not a:
             return full
         return (full ^ a) | eval_matrix(node.right, ext, env, full)
-    if isinstance(node, Iff):
+    if op == "<->":
         return a ^ eval_matrix(node.right, ext, env, full) ^ full
     raise TypeError(f"not a matrix node: {node!r}")
+
+
+CHUNK_BITS = 14  # up to 2**14 valuations (or structures) per evaluation
+
+
+@lru_cache(maxsize=None)
+def slot_patterns(bits):
+    """The bitset of all 2**bits table entries, and per slot j < bits the
+    entries whose bit j is set: the periodic pattern of runs of 2**j."""
+    full = (1 << (1 << bits)) - 1
+    return full, tuple(full ^ full // ((1 << (1 << j)) + 1) for j in range(bits))
+
+
+def chunk_extents(slots, bits, chunk):
+    """The extents of one chunk of a table over `slots`, the (relation,
+    tuple) per bit position: slot j < bits holds on the entries whose
+    bit j is set, a higher slot on all of them if bit j - bits of
+    `chunk` is set, else on none."""
+    full, inner = slot_patterns(bits)
+    ext = {}
+    for j, (name, tup) in enumerate(slots):
+        ext.setdefault(name, {})[tup] = (
+            inner[j] if j < bits else full if chunk >> j - bits & 1 else 0)
+    return ext
 
 
 def load_sentence(path):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import structures
+from . import syntax
 from .onetypes import _forced_bit
 from .syntax import atom_keys, eval_matrix
 
@@ -91,8 +91,8 @@ class _Partition:
         sentence = plan.sentence
         self._env = dict(zip(sentence.prefix_vars, part))
         self.keys = atom_keys(sentence, part)
-        self.bits = min(len(self.keys), structures._CHUNK_BITS)
-        self.full, self._inner = structures.slot_patterns(self.bits)
+        self.bits = min(len(self.keys), syntax.CHUNK_BITS)
+        self.full, self._inner = syntax.slot_patterns(self.bits)
         self._matrix, self._sig = sentence.matrix, sentence.signature
         self._top = (1 << len(self.keys) - self.bits) - 1  # the last chunk
         self._table = {}  # chunk -> its satisfying valuations
@@ -103,7 +103,7 @@ class _Partition:
         self._first = {}  # (start constraint, allowed) -> first _walk item
 
     def _evaluate(self, chunk):
-        ext = structures.chunk_extents(self.keys, self.bits, chunk)
+        ext = syntax.chunk_extents(self.keys, self.bits, chunk)
         return eval_matrix(self._matrix, ext, self._env, self.full)
 
     def first_hit(self, constraint):

@@ -8,7 +8,7 @@ the oracle stops at size 2, so they serve checks that need no oracle.
 
 import random
 
-from eae_sat.syntax import And, Eq, Iff, Imp, Not, Or, Rel, validate_prefix
+from eae_sat.syntax import Bin, Eq, Not, Rel, validate_prefix
 
 SEED = 20240824
 
@@ -33,8 +33,8 @@ def random_matrix(rng, leaves):
         if b is None:
             nodes.append(a)
             break
-        op = rng.choice([And, And, Or, Imp, Iff])
-        nodes.append(op(a, b))
+        op = rng.choice(["&", "&", "|", "->", "<->"])
+        nodes.append(Bin(op, a, b))
     root = nodes[0]
     if rng.random() < 0.2:
         root = Not(root)

@@ -383,7 +383,7 @@ def test_certify_rejects_tampered(tmp_path):
 
     # a flipped valuation bit: the certificate reads, and fails the check
     out = certify(tampered(valuation=3))
-    assert out.startswith("violation:") and "C2" in out
+    assert out.startswith("violation: entry {-E}: ") and "C2" in out
     # a valuation outside the 2**K values of its K atom keys
     for valuation in (4, -1):
         out = certify(tampered(valuation=valuation))

@@ -11,8 +11,12 @@ the models of its image:
 - reverse the trailing existentials (exists y1 y2 is exists y2 y1).
 
 The `gfp` and `extended` methods must give each image its original's
-verdict.  The pool is corpus(200, seed=7) and seeded draws over the
-arity-3 shapes, where the oracle cannot follow.
+verdict.  Rewriting the connectives (-> and <-> into & and |, | into &
+by De Morgan, and ~(a & b) into ~a | ~b) keeps the matrix's truth
+function and its atoms, so it must keep the whole outcome: pi0, the
+certificate or refutation, and the stats.  The pool is
+corpus(200, seed=7) and seeded draws over the arity-3 shapes, where the
+oracle cannot follow.
 """
 
 import random
@@ -20,8 +24,9 @@ from itertools import permutations
 
 import pytest
 
+from eae_sat.serialize import outcome_to_json
 from eae_sat.solver import solve
-from eae_sat.syntax import Eq, Not, Rel, validate_prefix
+from eae_sat.syntax import Bin, Eq, Not, Rel, validate_prefix
 
 import corpus
 
@@ -37,7 +42,30 @@ def map_atoms(node, f):
         return node
     if isinstance(node, Not):
         return Not(map_atoms(node.sub, f))
-    return type(node)(map_atoms(node.left, f), map_atoms(node.right, f))
+    return Bin(node.op, map_atoms(node.left, f), map_atoms(node.right, f))
+
+
+def rewrite(node):
+    """The matrix with each connective rewritten once, into & | and ~."""
+    if isinstance(node, (Rel, Eq)):
+        return node
+    if isinstance(node, Not):
+        sub = node.sub
+        if isinstance(sub, Bin) and sub.op == "&":
+            return Bin("|", Not(rewrite(sub.left)), Not(rewrite(sub.right)))
+        return Not(rewrite(sub))
+    a, b = rewrite(node.left), rewrite(node.right)
+    if node.op == "->":
+        return Bin("|", Not(a), b)
+    if node.op == "<->":
+        return Bin("|", Bin("&", a, b), Bin("&", Not(a), Not(b)))
+    if node.op == "|":
+        return Not(Bin("&", Not(a), Not(b)))
+    return Bin(node.op, a, b)
+
+
+def outcomes(s):
+    return {m: outcome_to_json(solve(s, method=m), s) for m in METHODS}
 
 
 def rebuild(s, matrix, ys):
@@ -87,11 +115,10 @@ RELABELINGS = (flip, permute_args, rename, reverse_ys)
 
 @pytest.fixture(scope="module")
 def pool():
-    """(sentence, {method: verdict}) over the pool."""
+    """(sentence, {method: outcome JSON}) over the pool."""
     sentences = (corpus.corpus(200, seed=SEED)
                  + corpus.corpus(80, seed=SEED, shapes=corpus.ARITY3))
-    return [(s, {m: solve(s, method=m).verdict for m in METHODS})
-            for s in sentences]
+    return [(s, outcomes(s)) for s in sentences]
 
 
 @pytest.mark.parametrize("relabel", RELABELINGS, ids=lambda f: f.__name__)
@@ -99,7 +126,8 @@ def test_relabeling_keeps_verdicts(pool, relabel):
     rng = random.Random(SEED)
     checked = 0
     moved = []
-    for s, verdicts in pool:
+    for s, outs in pool:
+        verdicts = {m: out["verdict"] for m, out in outs.items()}
         image = relabel(s, rng)
         if image is None:
             continue
@@ -108,4 +136,14 @@ def test_relabeling_keeps_verdicts(pool, relabel):
         if got != verdicts:
             moved.append((s, image, verdicts, got))
     assert checked >= 40  # each relabeling applies to 46-221 of the pool
+    assert moved == []
+
+
+def test_connective_rewrite_keeps_outcomes(pool):
+    moved = []
+    for s, outs in pool:
+        image = rebuild(s, rewrite(s.matrix), s.ys)
+        assert image.signature == s.signature
+        if outcomes(image) != outs:
+            moved.append((s, image))
     assert moved == []

@@ -12,6 +12,7 @@ from eae_sat.onetypes import (
     enumerate_extended_types,
     enumerate_one_types,
     initial_extended_type,
+    render_one_type,
 )
 from eae_sat.serialize import certificate_from_json, certificate_to_json
 from eae_sat.solver import (
@@ -164,7 +165,7 @@ def test_certificate_closure_violation():
             bad = check_certificate(s, Certificate(out.certificate.pi0, kept))
             for pi, d in kept:
                 lines = [v for v in bad
-                         if v.startswith(f"entry {pi.bits}:") and "closure" in v]
+                         if v.startswith(f"entry {render_one_type(pi, s.signature)}:") and "closure" in v]
                 broken = dropped in d.class_states
                 assert len(lines) == (1 if broken else 0), (s, pi, lines)
                 broken_total += broken

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from eae_sat import structures
+from eae_sat import structures, syntax
 from eae_sat.onetypes import OneType, enumerate_one_types, type_of_element
 from eae_sat.solver import Certificate, gfp_solve
 from eae_sat.structures import (
@@ -237,7 +237,7 @@ def test_brute_force_chunk_seams(monkeypatch, bits):
     sentences = corpus.corpus(size=200)
     budgets = (1, 7, 100, 10**7)
     default = [oracle_outcome(s, 3, b) for s in sentences for b in budgets]
-    monkeypatch.setattr(structures, "_CHUNK_BITS", bits)
+    monkeypatch.setattr(syntax, "CHUNK_BITS", bits)
     assert [oracle_outcome(s, 3, b) for s in sentences for b in budgets] \
         == default
 
@@ -259,7 +259,7 @@ def test_brute_force_one_chunk_at_size_4(monkeypatch, s4):
                            ("budget exceeded", below + 14674)] + [model] * 5
     cases = [(s, b) for s in (s4, late) for b in budgets]
     for bits in (20, 12):
-        monkeypatch.setattr(structures, "_CHUNK_BITS", bits)
+        monkeypatch.setattr(syntax, "CHUNK_BITS", bits)
         assert [oracle_outcome(s, 4, b) for s, b in cases] == default
 
 

@@ -3,13 +3,10 @@ import re
 import pytest
 
 from eae_sat.syntax import (
-    And,
+    Bin,
     Eq,
     FragmentError,
-    Iff,
-    Imp,
     Not,
-    Or,
     ParseError,
     Rel,
     Signature,
@@ -151,7 +148,7 @@ def test_comments_and_whitespace():
 
 def test_canonical_print(s1):
     assert format_sentence(s1) == "exists z. forall x. exists y. (x = y)"
-    assert format_matrix(Not(And(Rel("P", ("x",)), Rel("Q", ("x",))))) \
+    assert format_matrix(Not(Bin("&", Rel("P", ("x",)), Rel("Q", ("x",))))) \
         == "(~(P(x) & Q(x)))"
 
 
@@ -196,7 +193,7 @@ def test_extract_signature(s1, s2, s3):
     s = parse("exists z. forall x. exists y. (B(x) & A(x,y))")
     assert tuple(n for n, _ in s.signature) == ("A", "B")  # lexicographic
     with pytest.raises(ParseError, match="arity conflict"):
-        extract_signature(And(Rel("R", ("x",)), Rel("R", ("x", "y"))))
+        extract_signature(Bin("&", Rel("R", ("x",)), Rel("R", ("x", "y"))))
 
 
 def test_synthesis_neutrality():
@@ -237,7 +234,7 @@ def holds(node, value, env):
     if isinstance(node, Not):
         return not holds(node.sub, value, env)
     a, b = holds(node.left, value, env), holds(node.right, value, env)
-    return {And: a and b, Or: a or b, Imp: not a or b, Iff: a == b}[type(node)]
+    return {"&": a and b, "|": a or b, "->": not a or b, "<->": a == b}[node.op]
 
 
 def test_eval_matrix_matches_pointwise_semantics():

@@ -11,9 +11,10 @@ from eae_sat.onetypes import (
     enumerate_extended_types,
     enumerate_one_types,
     initial_extended_type,
+    type_of_element,
 )
-from eae_sat.structures import eval_qf, type_of_element
-from eae_sat import solver, structures, witness
+from eae_sat.structures import eval_qf
+from eae_sat import solver, syntax, witness
 from eae_sat.solver import extended_solve, gfp_solve
 from eae_sat.syntax import atom_keys, load_sentence, parse
 from eae_sat.witness import SearchPlan, WitnessDescriptor, find_witness
@@ -414,7 +415,7 @@ def test_chunked_tables_match_one_table(monkeypatch, bits):
     default = [search(ctx) for _, ctx in cases]
     plans = {}
     with monkeypatch.context() as m:
-        m.setattr(structures, "_CHUNK_BITS", bits)
+        m.setattr(syntax, "CHUNK_BITS", bits)
         for (s, ctx), want in zip(cases, default):
             plan = plans.setdefault(s, SearchPlan(s))
             assert search(ctx, plan) == want
@@ -439,7 +440,7 @@ def test_wide_tables_stay_chunked():
     ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)))
     assert search(ctx, plan) is None
     widest = plan.partition(0)
-    assert len(widest.keys) == 27 and widest.bits == structures._CHUNK_BITS
+    assert len(widest.keys) == 27 and widest.bits == syntax.CHUNK_BITS
     # only the all-true valuation satisfies the conjunction
     assert {c: t for c, t in widest._table.items() if t} \
         == {(1 << 13) - 1: 1 << (1 << 14) - 1}
