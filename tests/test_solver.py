@@ -164,8 +164,8 @@ def test_certificate_closure_violation():
             kept = tuple(e for e in out.certificate.strategy if e[0] != dropped)
             bad = check_certificate(s, Certificate(out.certificate.pi0, kept))
             for pi, d in kept:
-                lines = [v for v in bad
-                         if v.startswith(f"entry {render_one_type(pi, s.signature)}:") and "closure" in v]
+                label = f"entry {render_one_type(pi, s.signature)}:"
+                lines = [v for v in bad if v.startswith(label) and "closure" in v]
                 broken = dropped in d.class_states
                 assert len(lines) == (1 if broken else 0), (s, pi, lines)
                 broken_total += broken
