@@ -86,7 +86,7 @@ class SolveOutcome:
 
 
 class Memo:
-    """Witness searches memoized by (root, state, allowed-set).
+    """Witness searches memoized by (root, state, allowed-set, is_root).
 
     The root is z's own state: pi0 among 1-types, the initial extended
     type among extended types.  The search follows the state's kind.
@@ -109,13 +109,13 @@ class Memo:
     def plan(self):
         return SearchPlan(self.sentence)
 
-    def find(self, root, state, allowed):
-        key = (root, state, allowed)
+    def find(self, root, state, allowed, is_root=False):
+        key = (root, state, allowed, is_root)
         if key in self.table:
             self.hits += 1
             return self.table[key]
         self.searches += 1
-        self.table[key] = find_witness(self.plan, root, state, allowed)
+        self.table[key] = find_witness(self.plan, root, state, allowed, is_root)
         return self.table[key]
 
 
@@ -135,7 +135,7 @@ def _eliminate(pi0, states, root, memo):
     rounds = []
     while True:
         allowed = frozenset(good)
-        if memo.find(root, root, allowed) is None:
+        if memo.find(root, root, allowed, True) is None:
             rounds.append((len(rounds) + 1, [root]))
             rest = [s for s in good if s != root]
             if rest:
@@ -179,7 +179,8 @@ def _decide(method, memo):
             if method != "game":
                 allowed = frozenset(good)
                 cert = Certificate(pi0=pi0, strategy=tuple(
-                    (pi, memo.find(pi0, pi, allowed)) for pi in good))
+                    (pi, memo.find(pi0, pi, allowed, pi == pi0))
+                    for pi in good))
             outcome = SolveOutcome(verdict="SAT", method=method, pi0=pi0,
                                    certificate=cert, stats=stats)
             break
@@ -264,7 +265,8 @@ def check_certificate(sentence, cert):
     if cert.pi0 not in keys:
         violations.append("pi0 is not covered by the strategy")
     for pi, d in cert.strategy:
-        for v in check_descriptor(d, frames, cert.pi0, pi, keys):
+        for v in check_descriptor(d, frames, cert.pi0, pi, keys,
+                                  pi == cert.pi0):
             violations.append(
                 f"entry {render_one_type(pi, sentence.signature)}: {v}")
     return violations

@@ -228,10 +228,11 @@ def _walk(pt, ordered, constraint, depth, combo):
     return None
 
 
-def find_witness(plan, root, state, allowed):
+def find_witness(plan, root, state, allowed, is_root=False):
     """The canonical-first witness descriptor for `state`, or None: z's
     class holds `root`, every class a state of `allowed`, and `plan` is
     the sentence's SearchPlan, shared across the searches of one solve.
+    Only the root's own obligation (`is_root`) may merge z and x.
     """
     if root not in allowed or state not in allowed:
         return None
@@ -239,7 +240,7 @@ def find_witness(plan, root, state, allowed):
 
     for i, part in enumerate(plan.parts):
         cz, cx = part[0], part[1]
-        if cz == cx and state != root:
+        if cz == cx and not is_root:
             continue
         pt = plan.partition(i)
         if pt.empty:
@@ -294,10 +295,11 @@ class CheckFrames:
         return out
 
 
-def check_descriptor(d, frames, root, state, allowed):
+def check_descriptor(d, frames, root, state, allowed, is_root=False):
     """All violations of the invariants of a witness for `state` whose
     z-class holds `root` and whose classes hold states of `allowed`;
-    empty means valid.  `frames` is the sentence's CheckFrames, which the
+    empty means valid.  Only the root's own obligation (`is_root`) may
+    merge z and x.  `frames` is the sentence's CheckFrames, which the
     descriptors of one certificate share.
 
     Each key a class state forces is checked once: as C2 if it is
@@ -328,6 +330,8 @@ def check_descriptor(d, frames, root, state, allowed):
         violations.append(f"P2: valuation out of range for {len(keys)} atom keys")
         return violations
     cz, cx = d.partition[0], d.partition[1]
+    if cz == cx and not is_root:
+        violations.append("K: z and x share a class outside the root's obligation")
     ext = {}  # relation -> class tuple -> value
     for j, (name, ctuple) in enumerate(keys):
         ext.setdefault(name, {})[ctuple] = bool(d.valuation >> j & 1)

@@ -46,15 +46,16 @@ def fixture_path(name):
     return os.path.join(FIXTURE_DIR, name)
 
 
-# A witness-search context is a (sentence, root, state, allowed) tuple.
+# A witness-search context is a (sentence, root, state, allowed, is_root)
+# tuple: is_root marks the root's own obligation.
 
 def search(ctx, plan=None):
     """find_witness on a context, through `plan` or a fresh SearchPlan."""
-    sentence, root, state, allowed = ctx
-    return find_witness(plan or SearchPlan(sentence), root, state, allowed)
+    sentence, *key = ctx
+    return find_witness(plan or SearchPlan(sentence), *key)
 
 
 def check(d, ctx):
     """check_descriptor on a context, with fresh CheckFrames."""
-    sentence, root, state, allowed = ctx
-    return check_descriptor(d, CheckFrames(sentence), root, state, allowed)
+    sentence, *key = ctx
+    return check_descriptor(d, CheckFrames(sentence), *key)

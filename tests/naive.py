@@ -35,10 +35,10 @@ def naive_partitions(k):
 
 
 def naive_candidates(ctx):
-    """Every candidate descriptor for a (sentence, root, state, allowed)
-    context in canonical order: partitions, then state combos from
-    `product`, then key valuations by binary counting."""
-    s, root, state, allowed = ctx
+    """Every candidate descriptor for a (sentence, root, state, allowed,
+    is_root) context in canonical order: partitions, then state combos
+    from `product`, then key valuations by binary counting."""
+    s, root, state, allowed, _ = ctx
     ordered = sorted(allowed, key=canonical_index)
     k = len(s.prefix_vars)
     index = {v: i for i, v in enumerate(s.prefix_vars)}
@@ -59,14 +59,14 @@ def naive_candidates(ctx):
 
 def naive_witnesses(ctx):
     """The candidates `check_descriptor` accepts, in canonical order."""
-    sentence, root, state, allowed = ctx
+    sentence, *key = ctx
     frames = CheckFrames(sentence)
     return (d for d in naive_candidates(ctx)
-            if check_descriptor(d, frames, root, state, allowed) == [])
+            if check_descriptor(d, frames, *key) == [])
 
 
 def candidate_count(ctx):
-    s, _, _, allowed = ctx
+    s, _, _, allowed, _ = ctx
     k = len(s.prefix_vars)
     index = {v: i for i, v in enumerate(s.prefix_vars)}
     total = 0

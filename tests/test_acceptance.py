@@ -62,9 +62,9 @@ def corpus_outcomes(corpus_200):
     """gfp outcomes plus every witness-search context they visited."""
     outs, contexts = [], []
 
-    def recorded(plan, root, state, allowed):
-        contexts.append((plan.sentence, root, state, allowed))
-        return find_witness(plan, root, state, allowed)
+    def recorded(plan, root, state, allowed, is_root=False):
+        contexts.append((plan.sentence, root, state, allowed, is_root))
+        return find_witness(plan, root, state, allowed, is_root)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "find_witness", recorded)

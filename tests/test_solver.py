@@ -270,7 +270,7 @@ def _survivors(plan, root, states):
     while True:
         allowed = frozenset(good)
         kept = [s for s in good
-                if find_witness(plan, root, s, allowed) is not None]
+                if find_witness(plan, root, s, allowed, s == root) is not None]
         if kept == good:
             return good
         good = kept
@@ -300,7 +300,8 @@ def _jacobi_decide(sentence, method, plan):
                 continue
         allowed = frozenset(plain)
         return "SAT", pi0, Certificate(pi0=pi0, strategy=tuple(
-            (pi, find_witness(plan, pi0, pi, allowed)) for pi in plain))
+            (pi, find_witness(plan, pi0, pi, allowed, pi == pi0))
+            for pi in plain))
     return "UNSAT", None, None
 
 
@@ -333,8 +334,8 @@ def test_refutations_replay_and_root_first_matches_jacobi(seed):
                 for _, removed in tr.rounds:
                     allowed = frozenset(alive)
                     for state in removed:
-                        assert find_witness(plan, root, state, allowed) \
-                            is None, (s, m)
+                        assert find_witness(plan, root, state, allowed,
+                                            state == root) is None, (s, m)
                     alive -= set(removed)
                 assert root not in alive, (s, m)
                 assert set(tr.surviving) == alive, (s, m)

@@ -139,7 +139,7 @@ def test_oracle_and_eval_sentence_use_eval_matrix(monkeypatch, s3):
 def test_descriptor_to_structure_s3(s3):
     neg = OneType((False,))
     ts = frozenset(enumerate_one_types(s3.signature))
-    d = search((s3, neg, neg, ts))
+    d = search((s3, neg, neg, ts, True))
     st, f = descriptor_to_structure(d, s3)
     assert st.size == 3
     assert st.extents["E"] == frozenset({(1, 2)})
@@ -149,7 +149,7 @@ def test_descriptor_to_structure_s3(s3):
 
 def test_descriptor_to_structure_s1_padding(s1):
     empty = OneType(())
-    d = search((s1, empty, empty, frozenset({empty})))
+    d = search((s1, empty, empty, frozenset({empty}), True))
     st, f = descriptor_to_structure(d, s1)
     assert st.size == 3  # z-class, merged x=y class, one padding element
     assert f["x"] == f["y"]
@@ -159,7 +159,7 @@ def test_descriptor_to_structure_s1_padding(s1):
 def test_descriptor_to_structure_s4(s4):
     neg = OneType((False,))
     ts = frozenset(enumerate_one_types(s4.signature))
-    d = search((s4, neg, neg, ts))
+    d = search((s4, neg, neg, ts, True))
     st, f = descriptor_to_structure(d, s4)
     assert st.extents["R"] == frozenset({(0, 2)})
     assert f == {"z": 0, "x": 1, "y": 2}
@@ -329,7 +329,7 @@ def test_realization_law_over_enumerations():
         ts = enumerate_one_types(s.signature)
         for pi0 in ts:
             for pi in ts:
-                ctx = (s, pi0, pi, frozenset(ts))
+                ctx = (s, pi0, pi, frozenset(ts), pi == pi0)
                 for d in itertools.islice(naive_witnesses(ctx), 5):
                     st, f = descriptor_to_structure(d, s)
                     assert eval_qf(st, f, s.matrix)

@@ -34,7 +34,7 @@ def ctx_for(sentence, pi0, pi, allowed=None):
     """The context of 1-type `pi`, whose root is pi0."""
     ts = enumerate_one_types(sentence.signature)
     return (sentence, pi0, pi,
-            frozenset(allowed if allowed is not None else ts))
+            frozenset(allowed if allowed is not None else ts), pi == pi0)
 
 
 def all_contexts(sentence):
@@ -169,8 +169,10 @@ def ext_ctx_for(sentence, pi0, state, allowed=None):
     extended type."""
     sig = sentence.signature
     states = enumerate_extended_types(sig, pi0)
-    return (sentence, initial_extended_type(sig, pi0), state,
-            frozenset(allowed if allowed is not None else states))
+    root = initial_extended_type(sig, pi0)
+    return (sentence, root, state,
+            frozenset(allowed if allowed is not None else states),
+            state == root)
 
 
 def test_ext_degenerates_without_relations(s1):
@@ -250,10 +252,10 @@ def solver_contexts(sentence, monkeypatch):
     """Every context gfp and extended solving query, in query order."""
     plain, ext = [], []
 
-    def recorded(plan, root, state, allowed):
+    def recorded(plan, root, state, allowed, is_root=False):
         (ext if isinstance(state, ExtendedType) else plain).append(
-            (plan.sentence, root, state, allowed))
-        return find_witness(plan, root, state, allowed)
+            (plan.sentence, root, state, allowed, is_root))
+        return find_witness(plan, root, state, allowed, is_root)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "find_witness", recorded)
@@ -437,7 +439,7 @@ def test_wide_tables_stay_chunked():
     s = load_sentence(fixture_path("wide/s9_wide_t3.fo"))
     plan = SearchPlan(s)
     neg = OneType((False,))
-    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)))
+    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)), True)
     assert search(ctx, plan) is None
     widest = plan.partition(0)
     assert len(widest.keys) == 27 and widest.bits == syntax.CHUNK_BITS
@@ -453,7 +455,7 @@ def test_wide_tables_evaluate_chunks_on_demand():
         s = parse(fh.read().replace(" & ", " | "))
     plan = SearchPlan(s)
     neg = OneType((False,))
-    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)))
+    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)), True)
     d = search(ctx, plan)
     assert d is not None and d == search(ctx)
     assert list(plan.partition(0)._table) == [0]
