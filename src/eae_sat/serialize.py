@@ -59,6 +59,7 @@ def certificate_to_json(cert, sentence):
     sig = sentence.signature
     return {
         "pi0": type_symbols(cert.pi0, sig),
+        "root": descriptor_to_json(cert.root),
         "strategy": [
             {"type": type_symbols(pi, sig),
              "descriptor": descriptor_to_json(d)}
@@ -80,6 +81,7 @@ def certificate_from_json(obj, sentence):
             raise ValueError(f"strategy lists type {type_symbols(a, sig)} twice")
     return Certificate(
         pi0=one_type_from_symbols(obj["pi0"], sig),
+        root=descriptor_from_json(obj["root"], sentence),
         strategy=tuple(entries))
 
 
@@ -94,6 +96,7 @@ def refutation_to_json(traces, sig):
                     for r, removed in tr.rounds
                 ],
                 "surviving": [state_label(s, sig) for s in tr.surviving],
+                "root_witness": tr.root_witness,
             }
             for tr in traces
         ]

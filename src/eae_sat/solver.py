@@ -2,13 +2,16 @@
 
 All three methods run one engine, `_eliminate`: starting from a finite
 set of states, repeatedly discard every state that has no witness whose
-realized states all survive, until nothing changes.  Each round searches
-the root, z's own state, first, and a root with no witness ends the
-elimination with nothing left.  One loop, `_decide`, tries each starting
-type pi0 in canonical order and stops at the first one accepted, the
-first whose root survives.  The methods differ only in their states:
+realized states all survive, until nothing changes.  z is also a value
+of x, so z's own state, the root, needs a witness that merges z and x;
+every other element, one of the root's state among them, one that keeps
+them apart.  Each round searches the root first, and a root with no
+witness rejects the candidate at once.  One loop, `_decide`, tries each
+starting type pi0 in canonical order and stops at the first one
+accepted, whose root keeps a witness once nothing more is discarded.
+The methods differ only in their states:
 
-* ``gfp_solve`` — 1-types; pi0 is accepted iff it survives.
+* ``gfp_solve`` — 1-types.
 * ``bounded_game_solve`` — the counter-bounded reading of the same
   fixpoint: Acc(pi, c) with the game won outright at counter
   2^{|sigma|} + 1.  Since the lattice of type sets is shorter than that
@@ -19,11 +22,11 @@ first whose root survives.  The methods differ only in their states:
   pi0 bound its states (see ``extended_solve``).
 
 SAT results from gfp and extended carry a positional-strategy
-certificate that an independent checker can validate; UNSAT results
-carry per-candidate elimination traces.  Each round of a trace lists
-states with no witness among the states alive before it; the round in
-which the root dies lists the root alone, and the next one lists the
-rest, unsearched, since no state has a witness once the root is gone.
+certificate, the root's witness and one per surviving type, that an
+independent checker can validate; UNSAT results carry per-candidate
+elimination traces.  Each round of a trace lists states with no witness
+among the states alive before it; the trace ends where the root had no
+witness among the states then alive, its `surviving`.
 """
 
 from __future__ import annotations
@@ -48,9 +51,11 @@ class InternalInvariantError(Exception):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Positional strategy: one witness descriptor per surviving 1-type."""
+    """Positional strategy: z's own witness descriptor (x = z), and one
+    descriptor per surviving 1-type (x apart from z)."""
 
     pi0: object
+    root: object  # WitnessDescriptor
     strategy: tuple  # ((OneType, WitnessDescriptor), ...) in canonical type order
 
     @property
@@ -65,6 +70,7 @@ class EliminationTrace:
     pi0: object
     rounds: list  # [(round index starting at 1, [states eliminated]), ...]
     surviving: list
+    root_witness: bool  # among `surviving`; the candidate's acceptance
 
 
 @dataclass
@@ -126,25 +132,20 @@ class Memo:
 def _eliminate(pi0, states, root, memo):
     """Discard states lacking a witness among the survivors, until stable.
 
-    Each round asks for the root's witness first.  Every witness puts
-    the root in z's class, so once the root has none, no state has one:
-    its round lists the root alone, one more round lists the rest in
-    canonical order unsearched, and nothing survives.
+    Each round first asks for the root's own witness, x = z.  Survivors
+    only shrink, so once the root has none it never has one again, and
+    the candidate is rejected there.  Otherwise every state, one equal
+    to the root among them, needs a witness with x apart from z.
     """
     good = list(states)
     rounds = []
     while True:
         allowed = frozenset(good)
         if memo.find(root, root, allowed, True) is None:
-            rounds.append((len(rounds) + 1, [root]))
-            rest = [s for s in good if s != root]
-            if rest:
-                rounds.append((len(rounds) + 1, rest))
-            return EliminationTrace(pi0=pi0, rounds=rounds, surviving=[])
-        removed = [s for s in good
-                   if s != root and memo.find(root, s, allowed) is None]
+            return EliminationTrace(pi0, rounds, good, root_witness=False)
+        removed = [s for s in good if memo.find(root, s, allowed) is None]
         if not removed:
-            return EliminationTrace(pi0=pi0, rounds=rounds, surviving=good)
+            return EliminationTrace(pi0, rounds, good, root_witness=True)
         rounds.append((len(rounds) + 1, removed))
         dead = set(removed)
         good = [s for s in good if s not in dead]
@@ -153,11 +154,11 @@ def _eliminate(pi0, states, root, memo):
 def _decide(method, memo):
     """Try each starting type pi0 in canonical order; stop at the first accepted.
 
-    A candidate runs the plain elimination, then for `extended`, if pi0
-    survives, the extended one (see `extended_solve`).  pi0 is accepted
-    iff the last elimination leaves anything, and its certificate,
-    except under `game`, is the positional strategy over the plain
-    survivors.
+    A candidate runs the plain elimination, then for `extended`, if that
+    accepts pi0, the extended one (see `extended_solve`).  pi0 is
+    accepted iff the last elimination does, even with no survivors, and
+    its certificate, except under `game`, is the root's witness and the
+    positional strategy over the plain survivors.
     """
     t0 = time.perf_counter()
     searches, hits = memo.searches, memo.hits
@@ -167,20 +168,21 @@ def _decide(method, memo):
     for pi0 in memo.one_types:
         trace = _eliminate(pi0, memo.one_types, pi0, memo)
         good = trace.surviving
-        if good and method == "extended":
+        if trace.root_witness and method == "extended":
             own = set(good)
             states = [s for s in enumerate_extended_types(sig, pi0)
                       if s.own_type() in own]
             trace = _eliminate(pi0, states, initial_extended_type(sig, pi0),
                                memo)
         traces.append(trace)
-        if trace.surviving:
+        if trace.root_witness:
             cert = None
             if method != "game":
                 allowed = frozenset(good)
-                cert = Certificate(pi0=pi0, strategy=tuple(
-                    (pi, memo.find(pi0, pi, allowed, pi == pi0))
-                    for pi in good))
+                cert = Certificate(
+                    pi0=pi0, root=memo.find(pi0, pi0, allowed, True),
+                    strategy=tuple((pi, memo.find(pi0, pi, allowed))
+                                   for pi in good))
             outcome = SolveOutcome(verdict="SAT", method=method, pi0=pi0,
                                    certificate=cert, stats=stats)
             break
@@ -226,17 +228,19 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
     plain elimination.
 
     Map each class state of an extended witness to its own type: the
-    result is a plain witness for the state's own type among the own
-    types of the survivors (diagonal keys read the all-current-element
-    pattern or the root's pi0 bits, only the root may merge z and x, and
-    the root survives whenever anything does).  So the own types of the
-    extended survivors form a plain post-fixpoint, which lies inside the
-    plain survivors for the same pi0.  Each candidate therefore runs the
-    plain elimination first.  If it rejects pi0, so does the extended
-    one, and the candidate's refutation entry is that plain trace.
-    Otherwise the extended elimination starts from the extended states
-    whose own type survived, and reaches the same survivors as it would
-    from all of them.  `witness_searches` counts both kinds of search.
+    result is a plain witness of the same obligation, for the state's
+    own type among the own types of the survivors (diagonal keys read
+    the all-current-element pattern or the root's pi0 bits).  No
+    non-root state merges z and x, so the own types of the extended
+    survivors form a plain post-fixpoint, which lies inside the plain
+    survivors for the same pi0, and a root witness projects onto a plain
+    root witness among them.  Each candidate therefore runs the plain
+    elimination first.  If it rejects pi0, so does the extended one, and the
+    candidate's refutation entry is that plain trace.  Otherwise the
+    extended elimination starts from the extended states whose own type
+    survived, and reaches the same survivors and root verdict as it
+    would from all of them.  `witness_searches` counts both kinds of
+    search.
 
     SAT results carry the plain certificate over the plain survivors
     just computed for the same starting type.  `arity_cap` is checked
@@ -253,20 +257,20 @@ def extended_solve(sentence, arity_cap=DEFAULT_ARITY_CAP, memo=None):
 def check_certificate(sentence, cert):
     """Validate a certificate independently of how it was produced.
 
-    Re-runs the descriptor checker per strategy entry with the strategy's
-    own key set as the allowed types (which includes closure: every
-    realized type must be a key).  The entries share one CheckFrames, so
-    each partition's keys and forced bits are settled once.  Returns the
-    full violation list; empty means the certificate is sound.
+    Re-runs the descriptor checker on the root's witness and on each
+    strategy entry, with the strategy's own key set as the allowed types
+    (which includes closure: every type realized outside z's class must
+    be a key).  The descriptors share one CheckFrames, so each
+    partition's keys and forced bits are settled once.  Returns the full
+    violation list; empty means the certificate is sound.
     """
-    violations = []
     keys = cert.good_types
     frames = CheckFrames(sentence)
-    if cert.pi0 not in keys:
-        violations.append("pi0 is not covered by the strategy")
+    violations = [
+        f"root: {v}" for v in check_descriptor(
+            cert.root, frames, cert.pi0, cert.pi0, keys, True)]
     for pi, d in cert.strategy:
-        for v in check_descriptor(d, frames, cert.pi0, pi, keys,
-                                  pi == cert.pi0):
+        for v in check_descriptor(d, frames, cert.pi0, pi, keys):
             violations.append(
                 f"entry {render_one_type(pi, sentence.signature)}: {v}")
     return violations

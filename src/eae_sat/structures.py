@@ -7,7 +7,8 @@ on up to 2**14 structures at once with one bit per structure.
 
 The staged builder replays a SAT certificate as an increasing chain of
 models B0 <= B1 <= ..., gluing one witness instance onto every element of
-the previous stage, completing minimally (unforced tuples stay false)
+the previous stage (the root's witness onto z's element b0, a strategy
+entry onto any other), completing minimally (unforced tuples stay false)
 and aborting with a conflict object whenever a witness dictates a value
 that contradicts an already-determined one.  Conflicts are data, not
 faults: they pinpoint instances where a surviving strategy cannot
@@ -212,17 +213,19 @@ def brute_force_search(sentence, max_size, budget=10**7):
 def build_model_sequence(sentence, cert, depth):
     """Grow the certificate's strategy into a chain of models.
 
-    Every element of the previous stage gets its type's witness glued on:
-    the z-class lands on b0, the x-class on the element itself, the other
-    classes on fresh elements (padding adds no obligations and is
-    skipped).  Returns the StagedModel, or the first ConstructionConflict
-    encountered; raises ModelTooLarge once the stages would hold more than
-    MAX_MODEL_ELEMENTS elements in all.
+    Every element of the previous stage gets a witness glued on, b0 the
+    certificate's root witness and any other element its type's strategy
+    entry: the z-class lands on b0, the x-class on the element itself,
+    the other classes on fresh elements (padding adds no obligations and
+    is skipped).  Returns the StagedModel, or the first
+    ConstructionConflict encountered; raises ModelTooLarge once the
+    stages would hold more than MAX_MODEL_ELEMENTS elements in all.
     """
     sig = sentence.signature
     strategy = dict(cert.strategy)
     # each partition's atom keys, decoded once per build
-    keys = {p: atom_keys(sentence, p) for p in {d.partition for d in strategy.values()}}
+    keys = {d.partition: atom_keys(sentence, d.partition)
+            for d in (cert.root, *strategy.values())}
     pi0 = cert.pi0
     eq_atoms = equalities_of(sentence.matrix)
 
@@ -244,17 +247,12 @@ def build_model_sequence(sentence, cert, depth):
         required = {}  # (relation, element tuple) -> bool
         for b in range(prev.size):
             pi = type_of_element(prev, b)
-            d = strategy.get(pi)
+            d = cert.root if b == b0 else strategy.get(pi)
             if d is None:
                 raise MissingStrategyEntry(
                     f"no strategy entry for realized type {pi.bits} "
                     f"(stage {stage}, element {b})")
             cz, cx = d.partition[0], d.partition[1]
-            if cz == cx and b != b0:
-                # the witness identifies z and x, but this element is not b0
-                return ConstructionConflict(
-                    stage=stage, element=b, relation="=",
-                    tuple_=(b0, b), required=True, existing=False)
             emap = {}
             for c in range(d.num_classes):
                 if c == cz:

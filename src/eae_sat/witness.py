@@ -12,7 +12,9 @@ baked in by the class-tuple keying.
 A state is a 1-type or a z-relative extended type; one search and one
 checker serve both kinds.  The z-class holds the root the caller gives
 (pi0, or the initial extended type), the x-class the state under test,
-and the state's kind decides which atom keys a class state forces.
+and the state's kind decides which atom keys a class state forces.  An
+obligation is the root's own, x = z, whose witnesses merge z and x, or
+another element's, whose witnesses keep them apart.
 
 Search order is fixed so that "the" witness for a context is well
 defined: partitions of (z, x, y1, ...) as restricted-growth strings in
@@ -230,17 +232,20 @@ def _walk(pt, ordered, constraint, depth, combo):
 
 def find_witness(plan, root, state, allowed, is_root=False):
     """The canonical-first witness descriptor for `state`, or None: z's
-    class holds `root`, every class a state of `allowed`, and `plan` is
-    the sentence's SearchPlan, shared across the searches of one solve.
-    Only the root's own obligation (`is_root`) may merge z and x.
+    class holds `root`, every other class a state of `allowed`, and
+    `plan` is the sentence's SearchPlan, shared across the searches of
+    one solve.  The root's own obligation (`is_root`, with `state` the
+    root) is x = z: it takes the partitions that merge z and x.  Every
+    other obligation, a state equal to the root's among them, takes the
+    partitions that keep them apart.
     """
-    if root not in allowed or state not in allowed:
+    if not is_root and state not in allowed:
         return None
     ordered = plan.ordered(allowed)
 
     for i, part in enumerate(plan.parts):
         cz, cx = part[0], part[1]
-        if cz == cx and not is_root:
+        if (cz == cx) != is_root:
             continue
         pt = plan.partition(i)
         if pt.empty:
@@ -298,9 +303,10 @@ class CheckFrames:
 def check_descriptor(d, frames, root, state, allowed, is_root=False):
     """All violations of the invariants of a witness for `state` whose
     z-class holds `root` and whose classes hold states of `allowed`;
-    empty means valid.  Only the root's own obligation (`is_root`) may
-    merge z and x.  `frames` is the sentence's CheckFrames, which the
-    descriptors of one certificate share.
+    empty means valid.  The root's own obligation (`is_root`) merges z
+    and x, any other keeps them apart, and the z-class holds the root
+    whether or not `allowed` has it.  `frames` is the sentence's
+    CheckFrames, which the descriptors of one certificate share.
 
     Each key a class state forces is checked once: as C2 if it is
     diagonal, as C7 if only an extended type fixes it.
@@ -330,8 +336,10 @@ def check_descriptor(d, frames, root, state, allowed, is_root=False):
         violations.append(f"P2: valuation out of range for {len(keys)} atom keys")
         return violations
     cz, cx = d.partition[0], d.partition[1]
-    if cz == cx and not is_root:
-        violations.append("K: z and x share a class outside the root's obligation")
+    if (cz == cx) != is_root:
+        violations.append(
+            "K: z and x share a class" if cz == cx else
+            "K: the root's witness keeps z and x apart")
     ext = {}  # relation -> class tuple -> value
     for j, (name, ctuple) in enumerate(keys):
         ext.setdefault(name, {})[ctuple] = bool(d.valuation >> j & 1)
@@ -358,7 +366,7 @@ def check_descriptor(d, frames, root, state, allowed, is_root=False):
         violations.append("C5: matrix is not satisfied by the induced valuation")
 
     # padding elements duplicate the z-class and realize nothing new
-    extra = set(d.class_states) - allowed
+    extra = {t for c, t in enumerate(d.class_states) if c != cz} - allowed
     if extra:
         violations.append(
             f"closure: {len(extra)} realized type(s) outside the allowed set")

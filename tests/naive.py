@@ -1,8 +1,9 @@
 """Naive references the tests check the program against.
 
 - `naive_witnesses`: every witness candidate from `itertools.product`
-  over the partitions, state combos and key valuations, in canonical
-  order (`canonical_index`), that `check_descriptor` accepts;
+  over the partitions of the obligation's kind (x = z for the root's
+  own, x != z for any other), state combos and key valuations, in
+  canonical order (`canonical_index`), that `check_descriptor` accepts;
 - `eval_sentence_naive`: the sentence's truth over every assignment;
 - `descriptor_to_structure`: a descriptor realized as a small structure
   and assignment, for the realization law;
@@ -38,11 +39,13 @@ def naive_candidates(ctx):
     """Every candidate descriptor for a (sentence, root, state, allowed,
     is_root) context in canonical order: partitions, then state combos
     from `product`, then key valuations by binary counting."""
-    s, root, state, allowed, _ = ctx
+    s, root, state, allowed, is_root = ctx
     ordered = sorted(allowed, key=canonical_index)
     k = len(s.prefix_vars)
     index = {v: i for i, v in enumerate(s.prefix_vars)}
     for part in naive_partitions(k):
+        if (part[0] == part[1]) != is_root:
+            continue  # the root's own obligation is x = z, any other x != z
         n = max(part) + 1
         free = [c for c in range(n) if c not in part[:2]]
         keys = {(a.name, tuple(part[index[v]] for v in a.args))
@@ -66,11 +69,13 @@ def naive_witnesses(ctx):
 
 
 def candidate_count(ctx):
-    s, _, _, allowed, _ = ctx
+    s, _, _, allowed, is_root = ctx
     k = len(s.prefix_vars)
     index = {v: i for i, v in enumerate(s.prefix_vars)}
     total = 0
     for part in naive_partitions(k):
+        if (part[0] == part[1]) != is_root:
+            continue
         keys = {(a.name, tuple(part[index[v]] for v in a.args))
                 for a in atoms_of(s.matrix)}
         free = len(set(part) - set(part[:2]))
@@ -133,9 +138,11 @@ def descriptor_to_structure(d, sentence):
 def verify_construction(staged, sentence, cert):
     """Independent check of the two gluing requirements; returns failures.
 
-    R1: every element of every stage realizes a type the strategy covers.
+    R1: every element of every stage but b0 realizes a type the strategy
+    covers.
     R2: every element of stage i has a recorded witness tuple making the
-    matrix true in stage i+1.
+    matrix true in stage i+1: the root's witness for b0, its type's entry
+    for any other element.
     """
     failures = []
     sig = sentence.signature
@@ -143,7 +150,7 @@ def verify_construction(staged, sentence, cert):
     strategy = dict(cert.strategy)
     for i, st in enumerate(staged.stages):
         for a in range(st.size):
-            if type_of_element(st, a) not in good:
+            if a != staged.b0 and type_of_element(st, a) not in good:
                 failures.append(
                     f"R1: stage {i} element {a} realizes "
                     f"{render_one_type(type_of_element(st, a), sig)}, "
@@ -156,7 +163,7 @@ def verify_construction(staged, sentence, cert):
             if g is None:
                 failures.append(f"R2: stage {i} element {b} has no glue record")
                 continue
-            d = strategy.get(g.pi)
+            d = cert.root if b == staged.b0 else strategy.get(g.pi)
             emap = dict(g.element_map)
             var_class = {v: d.partition[j]
                          for j, v in enumerate(sentence.prefix_vars)}

@@ -15,7 +15,6 @@ from eae_sat import solver
 from eae_sat.cli import main as cli_main
 from eae_sat.onetypes import enumerate_one_types
 from eae_sat.solver import (
-    Certificate,
     bounded_game_solve,
     check_certificate,
     extended_solve,
@@ -150,12 +149,13 @@ def test_criterion_6_certificate_soundness(corpus_200, corpus_outcomes):
         cert = out.certificate
         if check_certificate(s, cert) == []:
             sound += 1
-        # mutation 1: drop the strategy entry for pi0 (always needed)
-        mutations_total += 1
-        dropped = Certificate(pi0=cert.pi0, strategy=tuple(
-            (pi, d) for pi, d in cert.strategy if pi != cert.pi0))
-        if check_certificate(s, dropped) != []:
-            mutations_caught += 1
+        # mutation 1: serve z with an entry's witness, which keeps z and
+        # x apart (z's own obligation is x = z)
+        if cert.strategy:
+            mutations_total += 1
+            swapped = replace(cert, root=cert.strategy[0][1])
+            if check_certificate(s, swapped) != []:
+                mutations_caught += 1
         # mutation 2: flip a type-forced (single-class) atom value
         for i, (pi, d) in enumerate(cert.strategy):
             forced = [j for j, (_, classes)
@@ -165,22 +165,22 @@ def test_criterion_6_certificate_soundness(corpus_200, corpus_outcomes):
                 continue
             mutations_total += 1
             mutant_d = replace(d, valuation=d.valuation ^ 1 << forced[0])
-            mutant = Certificate(pi0=cert.pi0, strategy=(
+            mutant = replace(cert, strategy=(
                 cert.strategy[:i] + ((pi, mutant_d),) + cert.strategy[i + 1:]))
             if check_certificate(s, mutant) != []:
                 mutations_caught += 1
             break
-        # mutation 3: retype the x-class (needs a nonempty signature so a
-        # different one-type exists)
+        # mutation 3: retype the x-class (needs an entry, and a nonempty
+        # signature so a different one-type exists)
         types = enumerate_one_types(s.signature)
-        if len(types) > 1:
+        if len(types) > 1 and cert.strategy:
             mutations_total += 1
             pi, d = cert.strategy[0]
             cx = d.partition[1]
             other = next(t for t in types if t != d.class_types[cx])
             retyped = replace(d, class_states=(
                 d.class_states[:cx] + (other,) + d.class_states[cx + 1:]))
-            mutant = Certificate(pi0=cert.pi0, strategy=(
+            mutant = replace(cert, strategy=(
                 ((pi, retyped),) + cert.strategy[1:]))
             if check_certificate(s, mutant) != []:
                 mutations_caught += 1

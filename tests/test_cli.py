@@ -218,7 +218,7 @@ def test_model_element_cap(tmp_path):
     code, out, _ = run("model", str(path), "--depth", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "e94d462a5e669cc5fb8f7838383436d275ad63e9ea20c0641a9130c0a076cd4f"
+        "41ddec1fb3551d48c0914a8d8efcdf9321f72c260b84b061238f56318020fbc1"
 
 
 def test_model_stage_cap():
@@ -339,10 +339,12 @@ def test_certify_roundtrip(tmp_path):
         cert_path.write_text(json.dumps(json.loads(out)["certificate"]))
         assert run("certify", path, "--cert", str(cert_path)) == \
             (0, "certificate ok\n", ""), name
-    # the UNSAT counters and s2 are UNSAT under gfp; the UNSAT zcounter
-    # is the s4 class, SAT under gfp
+    # the UNSAT counters, s2 and the two false SATs that z's own witness
+    # refutes are UNSAT under gfp; the UNSAT zcounter and z_rel_false_sat
+    # are the s4 class, SAT under gfp
     assert sorted(set(FIXTURES) - set(sat)) == [
-        "counter2_unsat", "counter3_unsat", "s2"]
+        "counter2_unsat", "counter3_unsat", "s2", "s7_false_sat",
+        "z_eq_false_sat"]
     # a UTF-8 byte order mark opens either file without changing its text
     bom = b"\xef\xbb\xbf"
     sentence = tmp_path / "bom.fo"

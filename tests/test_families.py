@@ -1,9 +1,10 @@
-"""Verdicts known by construction, on the counter families.
+"""Verdicts known by construction, on the counter and game families.
 
 The counters force models of 2^n elements and eliminations of about 2^n
 rounds, past what the oracle reaches, so their verdicts are checked
 against the construction in `families.py`; at n <= 2 the oracle confirms
-the construction.
+the construction.  The safety games are checked against their greatest
+fixpoint over positions, which shares nothing with the type machinery.
 """
 
 import io
@@ -16,7 +17,7 @@ from eae_sat.structures import brute_force_search
 from eae_sat.syntax import load_sentence, parse
 
 from conftest import fixture_path
-from families import counter, zcounter
+from families import counter, game_winner, safety_game, zcounter
 
 METHODS = ("gfp", "game", "extended")
 
@@ -31,6 +32,27 @@ def verdicts(text):
 def test_counter_verdicts(n, unsat):
     want = "UNSAT" if unsat else "SAT"
     assert verdicts(counter(n, unsat)) == dict.fromkeys(METHODS, want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sat_counter_searches(n):
+    # round 1 finds z's own witness and one for each of the 2^n counts
+    assert solve(parse(counter(n))).stats.witness_searches == 2 ** n + 1
+
+
+# (2^n + 1)(2^n + 2)/2 + 2^n - 3, measured: every root but the zero
+# count's has no witness of its own; from zero, round r searches the
+# root and the 2^n - r + 1 counts left, and drops the one whose
+# successor is gone, until the root's successor is gone too
+UNSAT_COUNTER_SEARCHES = {1: 5, 2: 16, 3: 50, 4: 166, 5: 590, 6: 2206}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unsat_counter_searches(n):
+    out = solve(parse(counter(n, True)))
+    assert out.stats.witness_searches == UNSAT_COUNTER_SEARCHES[n]
+    assert [len(t.rounds) for t in out.refutation] == \
+        [2 ** n - 1] + [0] * (2 ** n - 1)
 
 
 @pytest.mark.parametrize("n", range(1, 4))
@@ -61,12 +83,38 @@ def test_fixtures_are_the_families(family, n, unsat):
     assert load_sentence(fixture_path(name)) == parse(family(n, unsat))
 
 
-@pytest.mark.xfail(strict=True, reason="the certificate's pi0 entry serves an "
-                   "x other than z, so z gets no witness and the staged "
-                   "builder stops at an = clash on element 0 (ROADMAP item "
-                   "1); item 5's builder replaces the staged one")
 def test_model_builds_on_counter():
+    # the certificate's root witness serves z, so element 0 gets one
     out, err = io.StringIO(), io.StringIO()
     code = cli_main(["model", fixture_path("counter2_sat.fo")],
                     stdout=out, stderr=err)
     assert code == 0, out.getvalue()
+
+
+@pytest.mark.parametrize("k, seeds", [(2, range(10)), (3, range(10)),
+                                      (4, range(8))])
+def test_safety_games(k, seeds):
+    wins = 0
+    for seed in seeds:
+        want = "SAT" if game_winner(k, seed) else "UNSAT"
+        assert verdicts(safety_game(k, seed)) == dict.fromkeys(METHODS, want), seed
+        wins += want == "SAT"
+    assert 0 < wins < len(seeds)
+
+
+@pytest.mark.parametrize("k, seeds", [(2, range(10)), (3, range(10)),
+                                      (4, range(5))])
+def test_z_relative_safety_games(k, seeds):
+    for seed in seeds:
+        s = parse(safety_game(k, seed, zrel=True))
+        want = "SAT" if game_winner(k, seed) else "UNSAT"
+        assert solve(s, method="extended").verdict == want, seed
+
+
+def test_plain_methods_miss_z_relative_games():
+    # gfp never reads the Ri(x, z) bits, so it accepts some lost games:
+    # the class of fixture s4
+    lost = [seed for seed in range(10) if not game_winner(3, seed)]
+    accepted = [seed for seed in lost
+                if solve(parse(safety_game(3, seed, zrel=True))).verdict == "SAT"]
+    assert accepted

@@ -54,13 +54,13 @@ def test_s2_all_methods(s2):
 def test_s2_refutation_trace(s2):
     out = gfp_solve(s2)
     neg, pos = OneType((False,)), OneType((True,))
-    traces = {t.pi0: t for t in out.refutation}
-    # pi0 = {-P}: round 1 eliminates {-P}, then the rest collapses
-    assert traces[neg].rounds[0] == (1, [neg])
-    assert traces[neg].surviving == []
-    # pi0 = {+P}: the root dies in the first round, and the rest with it
-    assert traces[pos].rounds == [(1, [pos]), (2, [neg])]
-    assert traces[pos].surviving == []
+    # x = z turns P(x) & ~P(z) false, so neither root has a witness of
+    # its own: each candidate is rejected before any other search, with
+    # no round and every state still alive
+    assert [(t.pi0, t.rounds, t.surviving, t.root_witness)
+            for t in out.refutation] == [
+        (neg, [], [neg, pos], False), (pos, [], [neg, pos], False)]
+    assert out.stats.witness_searches == 2
 
 
 def test_s3_all_methods(s3):
@@ -143,31 +143,44 @@ def test_certificates_pass_checker(s1, s3, s4, s5):
             assert check_certificate(s, ext.certificate) == []
 
 
-def test_certificate_pi0_not_covered(s3):
+def test_certificate_root_closure_violation(s3):
+    # the root's witness realizes y's type {-E}, which an empty strategy
+    # does not cover
     out = gfp_solve(s3)
-    mutated = Certificate(pi0=out.certificate.pi0, strategy=())
-    bad = check_certificate(s3, mutated)
-    assert any("pi0" in v for v in bad)
+    bad = check_certificate(s3, replace(out.certificate, strategy=()))
+    assert bad == ["root: closure: 1 realized type(s) outside the allowed set"]
+
+
+def test_certificate_obligation_kinds(s3):
+    # the root's witness merges z and x, an entry's keeps them apart
+    cert = gfp_solve(s3).certificate
+    (pi, d), = cert.strategy
+    assert cert.root.partition == (0, 0, 1) and d.partition == (0, 1, 2)
+    bad = check_certificate(s3, replace(cert, root=d, strategy=((pi, cert.root),)))
+    assert "root: K: the root's witness keeps z and x apart" in bad
+    assert "entry {-E}: K: z and x share a class" in bad
 
 
 def test_certificate_closure_violation():
     # dropping a non-pi0 entry breaks closure for every entry whose
     # descriptor realizes the dropped type: one closure line per such entry
+    # outside z's class, which holds pi0 and counts against no set
     broken_total = 0
     for s in corpus.corpus(size=300):
         out = gfp_solve(s)
         if out.verdict != "SAT":
             continue
-        for dropped, _ in out.certificate.strategy:
-            if dropped == out.certificate.pi0:
-                continue
-            kept = tuple(e for e in out.certificate.strategy if e[0] != dropped)
-            bad = check_certificate(s, Certificate(out.certificate.pi0, kept))
-            for pi, d in kept:
-                label = f"entry {render_one_type(pi, s.signature)}:"
+        cert = out.certificate
+        for dropped, _ in cert.strategy:
+            kept = tuple(e for e in cert.strategy if e[0] != dropped)
+            bad = check_certificate(s, replace(cert, strategy=kept))
+            for label, d in [("root:", cert.root)] + [
+                    (f"entry {render_one_type(pi, s.signature)}:", d)
+                    for pi, d in kept]:
                 lines = [v for v in bad if v.startswith(label) and "closure" in v]
-                broken = dropped in d.class_states
-                assert len(lines) == (1 if broken else 0), (s, pi, lines)
+                broken = dropped in [t for c, t in enumerate(d.class_states)
+                                     if c != d.partition[0]]
+                assert len(lines) == (1 if broken else 0), (s, label, lines)
                 broken_total += broken
     assert broken_total > 0
 
@@ -176,7 +189,7 @@ def test_certificate_flipped_atom_fails(s3):
     out = gfp_solve(s3)
     (pi, d), = out.certificate.strategy
     j = atom_keys(s3, d.partition).index(("E", (1, 1)))
-    mutant = Certificate(pi0=out.certificate.pi0, strategy=(
+    mutant = replace(out.certificate, strategy=(
         (pi, replace(d, valuation=d.valuation ^ 1 << j)),))
     assert check_certificate(s3, mutant) != []
 
@@ -218,6 +231,7 @@ def test_elimination_monotone():
             continue
         total = len(enumerate_one_types(s.signature))
         for tr in out.refutation:
+            assert not tr.root_witness
             sizes = [total]
             for _, removed in tr.rounds:
                 assert removed
@@ -265,15 +279,21 @@ def test_kinds_agree_on_unary_signatures():
 
 
 def _survivors(plan, root, states):
-    """The elimination fixpoint from `states`, apart from the solver's."""
+    """The elimination fixpoint from `states`, apart from the solver's:
+    each state needs a witness that keeps z and x apart."""
     good = list(states)
     while True:
         allowed = frozenset(good)
         kept = [s for s in good
-                if find_witness(plan, root, s, allowed, s == root) is not None]
+                if find_witness(plan, root, s, allowed) is not None]
         if kept == good:
             return good
         good = kept
+
+
+def _root_witness(plan, root, survivors):
+    """The root's own witness, x = z, among `survivors`, or None."""
+    return find_witness(plan, root, root, frozenset(survivors), True)
 
 
 def _tried(out, sig):
@@ -284,32 +304,34 @@ def _tried(out, sig):
 
 def _jacobi_decide(sentence, method, plan):
     """(verdict, pi0, certificate) by Jacobi elimination, which searches
-    every state in every round, the root among them."""
+    every state in every round and the root once, at the fixpoint."""
     sig = sentence.signature
     types = enumerate_one_types(sig)
     for pi0 in types:
         plain = _survivors(plan, pi0, types)
-        if pi0 not in plain:
+        if _root_witness(plan, pi0, plain) is None:
             continue
         if method == "extended":
             good = set(plain)
             states = [e for e in enumerate_extended_types(sig, pi0)
                       if e.own_type() in good]
             root = initial_extended_type(sig, pi0)
-            if root not in _survivors(plan, root, states):
+            if _root_witness(plan, root, _survivors(plan, root, states)) is None:
                 continue
         allowed = frozenset(plain)
-        return "SAT", pi0, Certificate(pi0=pi0, strategy=tuple(
-            (pi, find_witness(plan, pi0, pi, allowed, pi == pi0))
-            for pi in plain))
+        return "SAT", pi0, Certificate(
+            pi0=pi0, root=_root_witness(plan, pi0, plain),
+            strategy=tuple((pi, find_witness(plan, pi0, pi, allowed))
+                           for pi in plain))
     return "UNSAT", None, None
 
 
 @pytest.mark.parametrize("seed", (7, 8))
 def test_refutations_replay_and_root_first_matches_jacobi(seed):
     # every round of an UNSAT trace names only states with no witness
-    # among the states alive before it, the root dies, and what is left
-    # is `surviving`; the root-first elimination decides as the Jacobi one
+    # among the states alive before it, searched once the root had one,
+    # and the root has none among `surviving`, what is left; the
+    # root-first elimination decides as the Jacobi one
     replayed = 0
     for s in corpus.corpus(size=300, seed=seed):
         sig = s.signature
@@ -323,6 +345,7 @@ def test_refutations_replay_and_root_first_matches_jacobi(seed):
             if out.verdict == "SAT":
                 continue
             for tr in out.refutation:
+                assert not tr.root_witness
                 alive = set(tr.surviving)
                 for _, removed in tr.rounds:
                     alive.update(removed)
@@ -332,13 +355,15 @@ def test_refutations_replay_and_root_first_matches_jacobi(seed):
                 else:
                     root = initial_extended_type(sig, tr.pi0)
                 for _, removed in tr.rounds:
+                    assert _root_witness(plan, root, alive) is not None, \
+                        (s, m)
                     allowed = frozenset(alive)
                     for state in removed:
-                        assert find_witness(plan, root, state, allowed,
-                                            state == root) is None, (s, m)
+                        assert find_witness(plan, root, state, allowed) \
+                            is None, (s, m)
                     alive -= set(removed)
-                assert root not in alive, (s, m)
                 assert set(tr.surviving) == alive, (s, m)
+                assert _root_witness(plan, root, alive) is None, (s, m)
                 replayed += 1
     assert replayed > 50, replayed
 
@@ -346,15 +371,15 @@ def test_refutations_replay_and_root_first_matches_jacobi(seed):
 def test_plain_survivors_bound_the_extended_elimination(monkeypatch):
     # extended_solve starts each extended elimination from the states
     # whose own type survived the plain one; from all extended states the
-    # fixpoint is the same, and a pi0 the plain elimination rejects loses
-    # its extended root too
-    runs = {}  # pi0 -> survivors of extended_solve's extended elimination
+    # fixpoint and the root's verdict are the same, and a pi0 the plain
+    # elimination rejects has no extended root witness either
+    runs = {}  # pi0 -> trace of extended_solve's extended elimination
     eliminate = solver._eliminate
 
     def spy(pi0, states, root, memo):
         trace = eliminate(pi0, states, root, memo)
-        if states and isinstance(states[0], ExtendedType):
-            runs[pi0] = trace.surviving
+        if isinstance(root, ExtendedType):
+            runs[pi0] = trace
         return trace
 
     monkeypatch.setattr(solver, "_eliminate", spy)
@@ -372,12 +397,17 @@ def test_plain_survivors_bound_the_extended_elimination(monkeypatch):
                 full = _survivors(plan, root,
                                   enumerate_extended_types(sig, pi0))
                 assert {e.own_type() for e in full} <= set(plain), (s, pi0)
-                if pi0 not in plain:
-                    assert root not in full, (s, pi0)
+                ext_root = _root_witness(plan, root, full)
+                if _root_witness(plan, pi0, plain) is None:
+                    assert ext_root is None, (s, pi0)
                     assert pi0 not in runs, (s, pi0)
                     rejected += pi0 in tried
                 elif pi0 in tried:
-                    assert runs[pi0] == full, (s, pi0)
+                    trace = runs[pi0]
+                    # a trace stops where its root has no witness
+                    assert trace.root_witness == (ext_root is not None)
+                    assert (trace.surviving == full if trace.root_witness
+                            else set(full) <= set(trace.surviving)), (s, pi0)
                     bounded += 1
     assert bounded > 300 and rejected > 100, (bounded, rejected)
 
@@ -395,8 +425,9 @@ def test_plain_rejected_candidates_enumerate_no_extended_types(monkeypatch):
         plan = SearchPlan(s)
         for pi0 in _tried(out, s.signature):
             plain = _survivors(plan, pi0, enumerate_one_types(s.signature))
-            assert calls.count(pi0) == (pi0 in plain), (s, pi0)
-            rejected += pi0 not in plain
+            accepted = _root_witness(plan, pi0, plain) is not None
+            assert calls.count(pi0) == accepted, (s, pi0)
+            rejected += not accepted
     assert rejected > 100, rejected
 
 
@@ -464,8 +495,6 @@ def test_s7_has_no_small_model():
     assert brute_force_search(s, 4) is None
 
 
-@pytest.mark.xfail(strict=True, reason="z needs a witness of its own, and "
-                   "no search requires one yet (ROADMAP item 1)")
 def test_s7_extended_refutes():
     s = load_sentence(fixture_path("s7_false_sat.fo"))
     assert extended_solve(s).verdict == "UNSAT"
@@ -478,16 +507,14 @@ def test_z_false_sats_have_no_small_model():
         assert brute_force_search(s, size) is None, name
 
 
-@pytest.mark.xfail(strict=True, reason="x = z forces one element, and no "
-                   "search requires z's own witness yet (ROADMAP item 1)")
 @pytest.mark.parametrize("method", METHODS)
 def test_z_eq_false_sat_refuted(method):
+    # x = z forces one element, so z's own witness must exist
     s = load_sentence(fixture_path("z_eq_false_sat.fo"))
     assert solve(s, method=method).verdict == "UNSAT"
 
 
-@pytest.mark.xfail(strict=True, reason="z needs a witness of its own, and "
-                   "no search requires one yet (ROADMAP item 1)")
 def test_z_rel_extended_refutes():
+    # gfp and game accept it: the plain states cannot see R(x, z)
     s = load_sentence(fixture_path("z_rel_false_sat.fo"))
     assert extended_solve(s).verdict == "UNSAT"

@@ -1,10 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from eae_sat import structures, syntax
 from eae_sat.onetypes import OneType, enumerate_one_types, type_of_element
-from eae_sat.solver import Certificate, gfp_solve
+from eae_sat.solver import gfp_solve
 from eae_sat.structures import (
     ConstructionConflict,
     EmptyUniverseError,
@@ -139,7 +140,7 @@ def test_oracle_and_eval_sentence_use_eval_matrix(monkeypatch, s3):
 def test_descriptor_to_structure_s3(s3):
     neg = OneType((False,))
     ts = frozenset(enumerate_one_types(s3.signature))
-    d = search((s3, neg, neg, ts, True))
+    d = search((s3, neg, neg, ts, False))
     st, f = descriptor_to_structure(d, s3)
     assert st.size == 3
     assert st.extents["E"] == frozenset({(1, 2)})
@@ -149,7 +150,7 @@ def test_descriptor_to_structure_s3(s3):
 
 def test_descriptor_to_structure_s1_padding(s1):
     empty = OneType(())
-    d = search((s1, empty, empty, frozenset({empty}), True))
+    d = search((s1, empty, empty, frozenset({empty}), False))
     st, f = descriptor_to_structure(d, s1)
     assert st.size == 3  # z-class, merged x=y class, one padding element
     assert f["x"] == f["y"]
@@ -159,7 +160,7 @@ def test_descriptor_to_structure_s1_padding(s1):
 def test_descriptor_to_structure_s4(s4):
     neg = OneType((False,))
     ts = frozenset(enumerate_one_types(s4.signature))
-    d = search((s4, neg, neg, ts, True))
+    d = search((s4, neg, neg, ts, False))
     st, f = descriptor_to_structure(d, s4)
     assert st.extents["R"] == frozenset({(0, 2)})
     assert f == {"z": 0, "x": 1, "y": 2}
@@ -319,9 +320,10 @@ def test_verify_detects_corruption(s3):
 
 def test_missing_strategy_entry(s3):
     out = gfp_solve(s3)
-    crippled = Certificate(pi0=out.certificate.pi0, strategy=())
+    # b0's root witness adds element 1, whose type has no entry
+    crippled = replace(out.certificate, strategy=())
     with pytest.raises(MissingStrategyEntry):
-        build_model_sequence(s3, crippled, 1)
+        build_model_sequence(s3, crippled, 2)
 
 
 def test_realization_law_over_enumerations():
@@ -329,7 +331,7 @@ def test_realization_law_over_enumerations():
         ts = enumerate_one_types(s.signature)
         for pi0 in ts:
             for pi in ts:
-                ctx = (s, pi0, pi, frozenset(ts), pi == pi0)
+                ctx = (s, pi0, pi, frozenset(ts), False)
                 for d in itertools.islice(naive_witnesses(ctx), 5):
                     st, f = descriptor_to_structure(d, s)
                     assert eval_qf(st, f, s.matrix)

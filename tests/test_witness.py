@@ -30,16 +30,19 @@ def key_values(d, sentence):
             for j, key in enumerate(atom_keys(sentence, d.partition))}
 
 
-def ctx_for(sentence, pi0, pi, allowed=None):
-    """The context of 1-type `pi`, whose root is pi0."""
+def ctx_for(sentence, pi0, pi, allowed=None, is_root=False):
+    """The context of 1-type `pi`, whose root is pi0: the root's own
+    obligation if `is_root` (then pi is pi0), another element's if not."""
     ts = enumerate_one_types(sentence.signature)
     return (sentence, pi0, pi,
-            frozenset(allowed if allowed is not None else ts), pi == pi0)
+            frozenset(allowed if allowed is not None else ts), is_root)
 
 
 def all_contexts(sentence):
+    """Every root's own obligation, then every other element's."""
     ts = enumerate_one_types(sentence.signature)
     for pi0 in ts:
+        yield ctx_for(sentence, pi0, pi0, is_root=True)
         for pi in ts:
             yield ctx_for(sentence, pi0, pi)
 
@@ -165,14 +168,12 @@ def test_descriptors_realize(s3, s4, s5):
 # ---------------------------------------------------------------------------
 
 def ext_ctx_for(sentence, pi0, state, allowed=None):
-    """The context of extended type `state`, whose root is pi0's initial
-    extended type."""
+    """The context of extended type `state`, an element other than z,
+    whose root is pi0's initial extended type."""
     sig = sentence.signature
     states = enumerate_extended_types(sig, pi0)
-    root = initial_extended_type(sig, pi0)
-    return (sentence, root, state,
-            frozenset(allowed if allowed is not None else states),
-            state == root)
+    return (sentence, initial_extended_type(sig, pi0), state,
+            frozenset(allowed if allowed is not None else states), False)
 
 
 def test_ext_degenerates_without_relations(s1):
@@ -316,11 +317,16 @@ def test_partitions_built_when_reached(s2, s4, monkeypatch):
     # ~R(z,x) & R(z,y) holds with z, x and y apart: one partition
     assert search(ctx_for(s4, neg, neg), plan).partition == (0, 1, 2)
     assert built == [(0, 1, 2)] == [plan.parts[0]]
-    # P(x) & ~P(z) has no witness for the root {+P}: every partition
+    # P(x) & ~P(z) has no witness for the root {+P}: its own search
+    # builds every partition that merges z and x, another element's
+    # every partition that keeps them apart
     del built[:]
     plan = SearchPlan(s2)
+    merged = [part for part in plan.parts if part[0] == part[1]]
+    assert search(ctx_for(s2, pos, pos, is_root=True), plan) is None
+    assert built == merged and len(merged) == 2
     assert search(ctx_for(s2, pos, pos), plan) is None
-    assert built == list(plan.parts) and len(built) == 5  # Bell(3)
+    assert sorted(built) == sorted(plan.parts) and len(built) == 5  # Bell(3)
     # merging z and x leaves P(x) & ~P(x): later searches skip those
     assert [plan.partition(i).empty for i in range(5)] \
         == [part[0] == part[1] for part in plan.parts]
@@ -439,7 +445,7 @@ def test_wide_tables_stay_chunked():
     s = load_sentence(fixture_path("wide/s9_wide_t3.fo"))
     plan = SearchPlan(s)
     neg = OneType((False,))
-    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)), True)
+    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)), False)
     assert search(ctx, plan) is None
     widest = plan.partition(0)
     assert len(widest.keys) == 27 and widest.bits == syntax.CHUNK_BITS
@@ -455,7 +461,7 @@ def test_wide_tables_evaluate_chunks_on_demand():
         s = parse(fh.read().replace(" & ", " | "))
     plan = SearchPlan(s)
     neg = OneType((False,))
-    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)), True)
+    ctx = (s, neg, neg, frozenset(enumerate_one_types(s.signature)), False)
     d = search(ctx, plan)
     assert d is not None and d == search(ctx)
     assert list(plan.partition(0)._table) == [0]
