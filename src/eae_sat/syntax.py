@@ -120,6 +120,11 @@ class PrenexSentence:
     def prefix_vars(self):
         return (self.z, self.x) + self.ys
 
+    @cached_property
+    def atoms(self):
+        """`atoms_of(matrix)`, found once per sentence."""
+        return atoms_of(self.matrix)
+
 
 # ---------------------------------------------------------------------------
 # AST utilities
@@ -151,7 +156,7 @@ def atom_keys(sentence, partition):
     valuation is the value of key j."""
     env = dict(zip(sentence.prefix_vars, partition))
     return sorted({(a.name, tuple(map(env.__getitem__, a.args)))
-                   for a in atoms_of(sentence.matrix)})
+                   for a in sentence.atoms})
 
 
 def equalities_of(matrix):

@@ -182,6 +182,9 @@ class SearchPlan:
     def __init__(self, sentence):
         self.sentence = sentence
         self.parts = _partitions(len(sentence.prefix_vars))
+        # indices into parts per obligation: [is_root] merges z and x
+        self.kinds = tuple([i for i, p in enumerate(self.parts)
+                            if (p[0] == p[1]) == r] for r in (False, True))
         self._built = {}  # index into parts -> its _Partition
         self._ordered = {}  # allowed state set -> its members in canonical order
 
@@ -243,13 +246,11 @@ def find_witness(plan, root, state, allowed, is_root=False):
         return None
     ordered = plan.ordered(allowed)
 
-    for i, part in enumerate(plan.parts):
-        cz, cx = part[0], part[1]
-        if (cz == cx) != is_root:
-            continue
+    for i in plan.kinds[is_root]:
         pt = plan.partition(i)
         if pt.empty:
             continue
+        cz, cx = pt.cz, pt.cx
         start = pt.meet(pt.mask(cz, root), pt.mask(cx, state))
         if start is None:
             continue
@@ -263,7 +264,7 @@ def find_witness(plan, root, state, allowed, is_root=False):
         for c, s in zip(pt.free_classes, combo):
             states[c] = s
         return WitnessDescriptor(
-            partition=part, class_states=tuple(states), valuation=v)
+            partition=pt.part, class_states=tuple(states), valuation=v)
     return None
 
 
