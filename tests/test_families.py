@@ -41,9 +41,10 @@ def test_sat_counter_searches(n):
 
 
 # (2^n + 1)(2^n + 2)/2 + 2^n - 3, measured: every root but the zero
-# count's has no witness of its own; from zero, round r searches the
-# root and the 2^n - r + 1 counts left, and drops the one whose
-# successor is gone, until the root's successor is gone too
+# count's has no witness of its own (x = z forces count zero); from
+# zero, round r searches the root and the 2^n - r + 1 counts left and
+# drops one, the forbidden all-ones count first, then each count whose
+# successor is gone, until the root's own successor is gone too
 UNSAT_COUNTER_SEARCHES = {1: 5, 2: 16, 3: 50, 4: 166, 5: 590, 6: 2206}
 
 
