@@ -23,7 +23,7 @@ from itertools import product
 
 from . import syntax
 from .onetypes import OneType, type_of_element
-from .syntax import Signature, atom_keys, equalities_of, eval_matrix
+from .syntax import Signature, atom_keys, eval_matrix
 
 
 class UnboundVariableError(Exception):
@@ -91,7 +91,7 @@ class StagedModel:
 class ConstructionConflict:
     stage: int
     element: int
-    relation: str  # relation name, or "=" for an identification clash
+    relation: str
     tuple_: tuple
     required: bool
     existing: bool
@@ -217,34 +217,37 @@ def build_model_sequence(sentence, cert, depth):
     certificate's root witness and any other element its type's strategy
     entry: the z-class lands on b0, the x-class on the element itself,
     the other classes on fresh elements (padding adds no obligations and
-    is skipped).  Returns the StagedModel, or the first
+    is skipped).  Each dictated tuple is checked once: against the
+    previous stage if it lies there, else against the first value this
+    stage dictated for it.  Returns the StagedModel, or the first
     ConstructionConflict encountered; raises ModelTooLarge once the
     stages would hold more than MAX_MODEL_ELEMENTS elements in all.
     """
     sig = sentence.signature
     strategy = dict(cert.strategy)
-    # each partition's atom keys, decoded once per build
-    keys = {d.partition: atom_keys(sentence, d.partition)
-            for d in (cert.root, *strategy.values())}
-    pi0 = cert.pi0
-    eq_atoms = equalities_of(sentence.matrix)
+    # per witness, (relation, class tuple, value): each class's diagonal
+    # atoms from its 1-type, then the valuation's atom keys
+    tables = {d: [(name, (c,) * arity, t.bit(i))
+                  for c, t in enumerate(d.class_types)
+                  for i, (name, arity) in enumerate(sig)]
+              + [(name, ctuple, bool(d.valuation >> j & 1)) for j, (name, ctuple)
+                 in enumerate(atom_keys(sentence, d.partition))]
+              for d in (cert.root, *strategy.values())}
 
     b0 = 0
-    extents0 = {name: frozenset({(0,) * arity} if pi0.bit(i) else set())
+    extents0 = {name: frozenset({(0,) * arity} if cert.pi0.bit(i) else set())
                 for i, (name, arity) in enumerate(sig)}
     stages = [FiniteStructure(signature=sig, size=1, extents=extents0)]
     glue = []
     next_fresh = 1
     printed = 1  # elements over the stages built so far
-
-    def too_large(stage):
-        return ModelTooLarge(
-            f"staged model would exceed {MAX_MODEL_ELEMENTS} elements over "
-            f"its stages at stage {stage}; lower --depth")
+    too_large = (f"staged model would exceed {MAX_MODEL_ELEMENTS} elements "
+                 "over its stages at stage {}; lower --depth")
 
     for stage in range(1, depth + 1):
         prev = stages[-1]
-        required = {}  # (relation, element tuple) -> bool
+        extents = {name: set(prev.extents[name]) for name, _ in sig}
+        fresh = {}  # (relation, tuple with a fresh element) -> first value
         for b in range(prev.size):
             pi = type_of_element(prev, b)
             d = cert.root if b == b0 else strategy.get(pi)
@@ -253,70 +256,38 @@ def build_model_sequence(sentence, cert, depth):
                     f"no strategy entry for realized type {pi.bits} "
                     f"(stage {stage}, element {b})")
             cz, cx = d.partition[0], d.partition[1]
-            emap = {}
+            emap = []
             for c in range(d.num_classes):
                 if c == cz:
-                    emap[c] = b0
+                    emap.append(b0)
                 elif c == cx:
-                    emap[c] = b
+                    emap.append(b)
                 else:
                     if printed + next_fresh >= MAX_MODEL_ELEMENTS:
-                        raise too_large(stage)
-                    emap[c] = next_fresh
+                        raise ModelTooLarge(too_large.format(stage))
+                    emap.append(next_fresh)
                     next_fresh += 1
-            glue.append(GlueRecord(
-                stage=stage, b=b, pi=pi,
-                element_map=tuple(sorted(emap.items()))))
+            glue.append(GlueRecord(stage=stage, b=b, pi=pi,
+                                   element_map=tuple(enumerate(emap))))
 
-            var_class = {v: d.partition[i]
-                         for i, v in enumerate(sentence.prefix_vars)}
-            for eq in eq_atoms:
-                want = var_class[eq.left] == var_class[eq.right]
-                got = emap[var_class[eq.left]] == emap[var_class[eq.right]]
-                if want != got:
-                    return ConstructionConflict(
-                        stage=stage, element=b, relation="=",
-                        tuple_=(emap[var_class[eq.left]],
-                                emap[var_class[eq.right]]),
-                        required=want, existing=got)
-
-            dictated = []
-            for c, t in enumerate(d.class_types):
-                e = emap[c]
-                for i, (name, arity) in enumerate(sig):
-                    dictated.append((name, (e,) * arity, t.bit(i)))
-            for j, (name, ctuple) in enumerate(keys[d.partition]):
-                dictated.append((name, tuple(emap[c] for c in ctuple),
-                                 bool(d.valuation >> j & 1)))
-
-            for name, tup, v in dictated:
-                if all(t < prev.size for t in tup):
-                    existing = tup in prev.extents.get(name, frozenset())
-                    if existing != v:
-                        return ConstructionConflict(
-                            stage=stage, element=b, relation=name,
-                            tuple_=tup, required=v, existing=existing)
-                    continue
-                key = (name, tup)
-                if key in required:
-                    if required[key] != v:
-                        return ConstructionConflict(
-                            stage=stage, element=b, relation=name,
-                            tuple_=tup, required=v, existing=required[key])
+            for name, ctuple, v in tables[d]:
+                tup = tuple(map(emap.__getitem__, ctuple))
+                if max(tup) < prev.size:
+                    existing = tup in prev.extents[name]
                 else:
-                    required[key] = v
+                    existing = fresh.setdefault((name, tup), v)
+                if existing != v:
+                    return ConstructionConflict(
+                        stage=stage, element=b, relation=name,
+                        tuple_=tup, required=v, existing=existing)
+                if v:
+                    extents[name].add(tup)
 
         if printed + next_fresh > MAX_MODEL_ELEMENTS:
-            raise too_large(stage)
+            raise ModelTooLarge(too_large.format(stage))
         printed += next_fresh
-        new_extents = {}
-        for name, _ in sig:
-            ts = set(prev.extents.get(name, frozenset()))
-            for (rname, tup), v in required.items():
-                if rname == name and v:
-                    ts.add(tup)
-            new_extents[name] = frozenset(ts)
         stages.append(FiniteStructure(
-            signature=sig, size=next_fresh, extents=new_extents))
+            signature=sig, size=next_fresh,
+            extents={name: frozenset(ts) for name, ts in extents.items()}))
 
     return StagedModel(stages=stages, b0=b0, glue=glue)

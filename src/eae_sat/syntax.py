@@ -159,11 +159,6 @@ def atom_keys(sentence, partition):
                    for a in sentence.atoms})
 
 
-def equalities_of(matrix):
-    """All distinct equality atoms of a matrix, in first-occurrence order."""
-    return tuple(dict.fromkeys(e for e in _leaves(matrix) if isinstance(e, Eq)))
-
-
 def matrix_variables(matrix):
     out = set()
     for leaf in _leaves(matrix):

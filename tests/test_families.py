@@ -84,6 +84,12 @@ def test_fixtures_are_the_families(family, n, unsat):
     assert load_sentence(fixture_path(name)) == parse(family(n, unsat))
 
 
+@pytest.mark.parametrize("name, seed", [("game3_sat", 2), ("game3_unsat", 0)])
+def test_game_fixtures_are_the_family(name, seed):
+    assert load_sentence(fixture_path(name + ".fo")) == parse(safety_game(3, seed))
+    assert game_winner(3, seed) == name.endswith("_sat")
+
+
 def test_model_builds_on_counter():
     # the certificate's root witness serves z, so element 0 gets one
     out, err = io.StringIO(), io.StringIO()

@@ -14,6 +14,7 @@ verdict fix, say) regenerates them with
 and the diff of `tests/golden/` shows exactly which bytes moved.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -21,6 +22,9 @@ import os
 import pytest
 
 from eae_sat.cli import main as cli_main
+from eae_sat.syntax import format_sentence
+
+from corpus import corpus
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE_DIR = os.path.join(HERE, "fixtures")
@@ -66,6 +70,25 @@ def test_golden_outputs(name):
     for command in COMMANDS:
         assert got[command]["exit"] == want[command]["exit"], command
         assert got[command]["stdout"].encode() == want[command]["stdout"].encode(), command
+
+
+# sha256 over the exit code and stdout of `check --json` and
+# `model --depth 3` on each sentence of corpus(200, seed=7), in order
+POOL_SHA256 = "f83556f85dbdf0c42fc21f17c0da807c385f44b367715febc8830ba24bee4933"
+
+
+def test_pool_outputs(tmp_path):
+    # a change meant to keep every output byte must keep this hash; one
+    # that moves it says why, as a golden change does
+    path = tmp_path / "s.fo"
+    h = hashlib.sha256()
+    for sentence in corpus(200, seed=7):
+        path.write_text(format_sentence(sentence) + "\n", encoding="utf-8")
+        for argv in (["check", "--json"], ["model", "--depth", "3"]):
+            out = io.StringIO()
+            code = cli_main(argv + [str(path)], stdout=out, stderr=io.StringIO())
+            h.update(f"{code}\n{out.getvalue()}".encode())
+    assert h.hexdigest() == POOL_SHA256
 
 
 if __name__ == "__main__":
