@@ -111,12 +111,13 @@ def cmd_model(sentence, args, out):
     if outcome.verdict == "UNSAT":
         out.write("UNSAT: no model to build\n")
         return EXIT_UNSAT
-    result = structures.build_model_sequence(
-        sentence, outcome.certificate, args.depth)
-    if isinstance(result, ConstructionConflict):
-        out.write(serialize.dumps(serialize.conflict_to_json(result)))
+    try:
+        stages, glue = structures.build_model_sequence(
+            sentence, outcome.certificate, args.depth)
+    except ConstructionConflict as e:
+        out.write(serialize.dumps(e.args[0]))
         return EXIT_INTERNAL
-    out.write(serialize.dumps(serialize.staged_to_json(result, sentence)))
+    out.write(serialize.dumps(serialize.staged_to_json(stages, glue, sentence)))
     return EXIT_OK
 
 

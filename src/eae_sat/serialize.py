@@ -1,4 +1,4 @@
-"""Stable JSON forms for outcomes, certificates, models, and conflicts.
+"""Stable JSON forms for outcomes, certificates and models.
 
 All dictionaries use sorted keys and deterministic list orders, so
 serialized output is byte-identical across runs.  `dumps` prints each
@@ -134,28 +134,16 @@ def structure_to_json(structure):
     }
 
 
-def staged_to_json(staged, sentence):
+def staged_to_json(stages, glue, sentence):
     sig = sentence.signature
     return {
-        "stages": [structure_to_json(st) for st in staged.stages],
-        "b0": staged.b0,
+        "stages": [structure_to_json(st) for st in stages],
+        "b0": 0,
         "glue": [
-            {"stage": g.stage, "b": g.b,
-             "type": type_symbols(g.pi, sig),
-             "element_map": {str(c): e for c, e in g.element_map}}
-            for g in staged.glue
+            {"stage": stage, "b": b, "type": type_symbols(pi, sig),
+             "element_map": {str(c): e for c, e in enumerate(emap)}}
+            for stage, b, pi, emap in glue
         ],
-    }
-
-
-def conflict_to_json(conflict):
-    return {
-        "stage": conflict.stage,
-        "element": conflict.element,
-        "relation": conflict.relation,
-        "tuple": list(conflict.tuple_),
-        "required": conflict.required,
-        "existing": conflict.existing,
     }
 
 

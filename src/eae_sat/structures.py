@@ -9,9 +9,9 @@ The staged builder replays a SAT certificate as an increasing chain of
 models B0 <= B1 <= ..., gluing one witness instance onto every element of
 the previous stage (the root's witness onto z's element b0, a strategy
 entry onto any other), completing minimally (unforced tuples stay false)
-and aborting with a conflict object whenever a witness dictates a value
-that contradicts an already-determined one.  Conflicts are data, not
-faults: they pinpoint instances where a surviving strategy cannot
+and raising ConstructionConflict whenever a witness dictates a value
+that contradicts an already-determined one.  A conflict is a finding,
+not a fault: it pinpoints an instance where a surviving strategy cannot
 actually be glued into a model.
 """
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import syntax
-from .onetypes import OneType, type_of_element
 from .syntax import Signature, atom_keys, eval_matrix
 
 
@@ -36,6 +35,12 @@ class EmptyUniverseError(Exception):
 
 class MissingStrategyEntry(Exception):
     """A realized type has no strategy entry; the certificate was unsound."""
+
+
+class ConstructionConflict(Exception):
+    """A witness dictates a tuple value that contradicts the one already
+    fixed; args[0] is the report `model` prints: stage, element,
+    relation, tuple, required and existing value."""
 
 
 # Each stage of build_model_sequence can multiply the universe by 1 + the
@@ -70,31 +75,6 @@ class FiniteStructure:
             for tup in self.extents.get(name, ()):
                 if len(tup) != arity or any(not 0 <= e < self.size for e in tup):
                     raise ValueError(f"bad tuple {tup} for {name}/{arity}")
-
-
-@dataclass(frozen=True)
-class GlueRecord:
-    stage: int  # index of the stage this witness instance was glued into
-    b: int  # the element being served
-    pi: OneType
-    element_map: tuple  # ((class id, element), ...)
-
-
-@dataclass
-class StagedModel:
-    stages: list  # [FiniteStructure, ...], each a substructure of the next
-    b0: int
-    glue: list  # [GlueRecord, ...]
-
-
-@dataclass(frozen=True)
-class ConstructionConflict:
-    stage: int
-    element: int
-    relation: str
-    tuple_: tuple
-    required: bool
-    existing: bool
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +193,18 @@ def brute_force_search(sentence, max_size, budget=10**7):
 def build_model_sequence(sentence, cert, depth):
     """Grow the certificate's strategy into a chain of models.
 
-    Every element of the previous stage gets a witness glued on, b0 the
-    certificate's root witness and any other element its type's strategy
-    entry: the z-class lands on b0, the x-class on the element itself,
-    the other classes on fresh elements (padding adds no obligations and
-    is skipped).  Each dictated tuple is checked once: against the
+    Every element of the previous stage gets a witness glued on, b0
+    (element 0) the certificate's root witness and any other element its
+    type's strategy entry: the z-class lands on b0, the x-class on the
+    element itself, the other classes on fresh elements, each of which
+    takes its class's 1-type.  Each dictated tuple is checked once: against the
     previous stage if it lies there, else against the first value this
-    stage dictated for it.  Returns the StagedModel, or the first
-    ConstructionConflict encountered; raises ModelTooLarge once the
-    stages would hold more than MAX_MODEL_ELEMENTS elements in all.
+    stage dictated for it, so a fresh element's diagonal is its type row
+    and an element keeps its type.  Returns (stages, glue): the
+    FiniteStructure chain and one (stage, b, type, element map) row per
+    served element, the map a list indexed by class.  Raises
+    ConstructionConflict on the first contradiction, and ModelTooLarge
+    once the stages would hold more than MAX_MODEL_ELEMENTS elements.
     """
     sig = sentence.signature
     strategy = dict(cert.strategy)
@@ -234,12 +217,11 @@ def build_model_sequence(sentence, cert, depth):
                  in enumerate(atom_keys(sentence, d.partition))]
               for d in (cert.root, *strategy.values())}
 
-    b0 = 0
+    types = [cert.pi0]  # per element of the stage being built, its 1-type
     extents0 = {name: frozenset({(0,) * arity} if cert.pi0.bit(i) else set())
                 for i, (name, arity) in enumerate(sig)}
     stages = [FiniteStructure(signature=sig, size=1, extents=extents0)]
     glue = []
-    next_fresh = 1
     printed = 1  # elements over the stages built so far
     too_large = (f"staged model would exceed {MAX_MODEL_ELEMENTS} elements "
                  "over its stages at stage {}; lower --depth")
@@ -249,26 +231,25 @@ def build_model_sequence(sentence, cert, depth):
         extents = {name: set(prev.extents[name]) for name, _ in sig}
         fresh = {}  # (relation, tuple with a fresh element) -> first value
         for b in range(prev.size):
-            pi = type_of_element(prev, b)
-            d = cert.root if b == b0 else strategy.get(pi)
+            pi = types[b]
+            d = cert.root if b == 0 else strategy.get(pi)
             if d is None:
                 raise MissingStrategyEntry(
                     f"no strategy entry for realized type {pi.bits} "
                     f"(stage {stage}, element {b})")
             cz, cx = d.partition[0], d.partition[1]
             emap = []
-            for c in range(d.num_classes):
+            for c, t in enumerate(d.class_types):
                 if c == cz:
-                    emap.append(b0)
+                    emap.append(0)
                 elif c == cx:
                     emap.append(b)
                 else:
-                    if printed + next_fresh >= MAX_MODEL_ELEMENTS:
+                    if printed + len(types) >= MAX_MODEL_ELEMENTS:
                         raise ModelTooLarge(too_large.format(stage))
-                    emap.append(next_fresh)
-                    next_fresh += 1
-            glue.append(GlueRecord(stage=stage, b=b, pi=pi,
-                                   element_map=tuple(enumerate(emap))))
+                    emap.append(len(types))
+                    types.append(t)
+            glue.append((stage, b, pi, emap))
 
             for name, ctuple, v in tables[d]:
                 tup = tuple(map(emap.__getitem__, ctuple))
@@ -277,17 +258,18 @@ def build_model_sequence(sentence, cert, depth):
                 else:
                     existing = fresh.setdefault((name, tup), v)
                 if existing != v:
-                    return ConstructionConflict(
-                        stage=stage, element=b, relation=name,
-                        tuple_=tup, required=v, existing=existing)
+                    raise ConstructionConflict({
+                        "stage": stage, "element": b, "relation": name,
+                        "tuple": list(tup), "required": v,
+                        "existing": existing})
                 if v:
                     extents[name].add(tup)
 
-        if printed + next_fresh > MAX_MODEL_ELEMENTS:
+        if printed + len(types) > MAX_MODEL_ELEMENTS:
             raise ModelTooLarge(too_large.format(stage))
-        printed += next_fresh
+        printed += len(types)
         stages.append(FiniteStructure(
-            signature=sig, size=next_fresh,
+            signature=sig, size=len(types),
             extents={name: frozenset(ts) for name, ts in extents.items()}))
 
-    return StagedModel(stages=stages, b0=b0, glue=glue)
+    return stages, glue

@@ -135,40 +135,50 @@ def descriptor_to_structure(d, sentence):
     return structure, assignment
 
 
-def verify_construction(staged, sentence, cert):
-    """Independent check of the two gluing requirements; returns failures.
+def verify_construction(stages, glue, sentence, cert):
+    """Independent check of the two gluing requirements and of the types
+    the builder tracks; returns failures.
 
-    R1: every element of every stage but b0 realizes a type the strategy
-    covers.
+    R1: every element of every stage but b0 = 0 realizes a type the
+    strategy covers.
     R2: every element of stage i has a recorded witness tuple making the
     matrix true in stage i+1: the root's witness for b0, its type's entry
     for any other element.
+    R3: every glue row's type is the one its element realizes in the
+    stage it served.
     """
     failures = []
     sig = sentence.signature
     good = cert.good_types
     strategy = dict(cert.strategy)
-    for i, st in enumerate(staged.stages):
-        for a in range(st.size):
-            if a != staged.b0 and type_of_element(st, a) not in good:
+    for i, st in enumerate(stages):
+        for a in range(1, st.size):
+            if type_of_element(st, a) not in good:
                 failures.append(
                     f"R1: stage {i} element {a} realizes "
                     f"{render_one_type(type_of_element(st, a), sig)}, "
                     "not covered by the strategy")
-    by_key = {(g.stage, g.b): g for g in staged.glue}
-    for i in range(len(staged.stages) - 1):
-        nxt = staged.stages[i + 1]
-        for b in range(staged.stages[i].size):
-            g = by_key.get((i + 1, b))
-            if g is None:
+    by_key = {(stage, b): (pi, emap) for stage, b, pi, emap in glue}
+    for i in range(len(stages) - 1):
+        nxt = stages[i + 1]
+        for b in range(stages[i].size):
+            if (i + 1, b) not in by_key:
                 failures.append(f"R2: stage {i} element {b} has no glue record")
                 continue
-            d = cert.root if b == staged.b0 else strategy.get(g.pi)
-            emap = dict(g.element_map)
+            pi, emap = by_key[i + 1, b]
+            realized = type_of_element(stages[i], b)
+            if pi != realized:
+                failures.append(
+                    f"R3: stage {i} element {b} glue record says "
+                    f"{render_one_type(pi, sig)}, the element realizes "
+                    f"{render_one_type(realized, sig)}")
+            d = cert.root if b == 0 else strategy.get(realized)
+            if d is None:
+                continue  # R1 names the uncovered type
             var_class = {v: d.partition[j]
                          for j, v in enumerate(sentence.prefix_vars)}
             assignment = {v: emap[var_class[v]] for v in sentence.prefix_vars}
-            if assignment[sentence.z] != staged.b0 or assignment[sentence.x] != b:
+            if assignment[sentence.z] != 0 or assignment[sentence.x] != b:
                 failures.append(
                     f"R2: stage {i} element {b} glue record maps z/x wrongly")
                 continue

@@ -13,7 +13,7 @@ import pytest
 
 from eae_sat import solver
 from eae_sat.cli import main as cli_main
-from eae_sat.onetypes import enumerate_one_types
+from eae_sat.onetypes import enumerate_one_types, type_of_element
 from eae_sat.solver import (
     bounded_game_solve,
     check_certificate,
@@ -26,7 +26,6 @@ from eae_sat.structures import (
     brute_force_search,
     build_model_sequence,
     eval_qf,
-    type_of_element,
 )
 from eae_sat.syntax import atom_keys, load_sentence
 from eae_sat.witness import find_witness
@@ -195,18 +194,25 @@ def test_criterion_7_construction_check(corpus_200, corpus_outcomes, s4):
     for s, out in zip(corpus_200, outs):
         if out.verdict != "SAT":
             continue
-        res = build_model_sequence(s, out.certificate, 2)
-        if isinstance(res, ConstructionConflict):
+        try:
+            stages, glue = build_model_sequence(s, out.certificate, 2)
+        except ConstructionConflict:
             continue
         built += 1
-        if verify_construction(res, s, out.certificate) != []:
+        if verify_construction(stages, glue, s, out.certificate) != []:
             bad += 1
     s4_out = gfp_solve(s4)
-    conflicts = [build_model_sequence(s4, s4_out.certificate, 2)
-                 for _ in range(3)]
-    s4_ok = all(isinstance(c, ConstructionConflict) and c.stage == 2
-                for c in conflicts)
-    s4_ok = s4_ok and len(set(conflicts)) == 1
+
+    def s4_conflict():
+        try:
+            build_model_sequence(s4, s4_out.certificate, 2)
+        except ConstructionConflict as e:
+            return e.args[0]
+        return None
+
+    conflicts = [s4_conflict() for _ in range(3)]
+    s4_ok = (conflicts[0] is not None and conflicts[0]["stage"] == 2
+             and conflicts.count(conflicts[0]) == 3)
     report(7, bad == 0 and s4_ok,
            f"{built} constructions verified, s4 conflict reproducible")
 

@@ -99,7 +99,7 @@ def test_model_builds_on_counter():
 
 
 @pytest.mark.parametrize("k, seeds", [(2, range(10)), (3, range(10)),
-                                      (4, range(8))])
+                                      (4, range(8)), (5, range(12))])
 def test_safety_games(k, seeds):
     wins = 0
     for seed in seeds:

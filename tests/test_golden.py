@@ -24,7 +24,7 @@ import pytest
 from eae_sat.cli import main as cli_main
 from eae_sat.syntax import format_sentence
 
-from corpus import corpus
+from corpus import ARITY3, corpus
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE_DIR = os.path.join(HERE, "fixtures")
@@ -72,23 +72,37 @@ def test_golden_outputs(name):
         assert got[command]["stdout"].encode() == want[command]["stdout"].encode(), command
 
 
-# sha256 over the exit code and stdout of `check --json` and
-# `model --depth 3` on each sentence of corpus(200, seed=7), in order
-POOL_SHA256 = "f83556f85dbdf0c42fc21f17c0da807c385f44b367715febc8830ba24bee4933"
+CHECK = ["check", "--json"]
+EXTENDED = ["check", "--method", "extended", "--json"]
+MODEL = ["model", "--depth", "3"]
+
+# (pool, commands, sha256 over the exit code and stdout of each command
+# on each sentence of the pool, in order)
+POOLS = [
+    ("seed7", lambda: corpus(200, seed=7), [CHECK, MODEL],
+     "f83556f85dbdf0c42fc21f17c0da807c385f44b367715febc8830ba24bee4933"),
+    ("seed7-extended", lambda: corpus(200, seed=7), [EXTENDED],
+     "3e6f261e296dca28af50fbf3b0b23003bd9a290046d6ccb98df305a5f7a56375"),
+    ("seed9-arity3", lambda: corpus(100, seed=9, shapes=ARITY3),
+     [CHECK, EXTENDED, MODEL],
+     "ef7218f08b3629ac8e3307197cf2627220f2848719b0f3bf1f4a77e780e46d7a"),
+]
 
 
-def test_pool_outputs(tmp_path):
-    # a change meant to keep every output byte must keep this hash; one
-    # that moves it says why, as a golden change does
+@pytest.mark.parametrize("pool, commands, sha256",
+                         [p[1:] for p in POOLS], ids=[p[0] for p in POOLS])
+def test_pool_outputs(tmp_path, pool, commands, sha256):
+    # a change meant to keep every output byte must keep these hashes;
+    # one that moves them says why, as a golden change does
     path = tmp_path / "s.fo"
     h = hashlib.sha256()
-    for sentence in corpus(200, seed=7):
+    for sentence in pool():
         path.write_text(format_sentence(sentence) + "\n", encoding="utf-8")
-        for argv in (["check", "--json"], ["model", "--depth", "3"]):
+        for argv in commands:
             out = io.StringIO()
             code = cli_main(argv + [str(path)], stdout=out, stderr=io.StringIO())
             h.update(f"{code}\n{out.getvalue()}".encode())
-    assert h.hexdigest() == POOL_SHA256
+    assert h.hexdigest() == sha256
 
 
 if __name__ == "__main__":

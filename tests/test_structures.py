@@ -270,11 +270,11 @@ def test_brute_force_one_chunk_at_size_4(monkeypatch, s4):
 
 def test_staged_s3(s3):
     out = gfp_solve(s3)
-    staged = build_model_sequence(s3, out.certificate, 2)
-    assert [st.size for st in staged.stages] == [1, 2, 4]
-    assert verify_construction(staged, s3, out.certificate) == []
+    stages, glue = build_model_sequence(s3, out.certificate, 2)
+    assert [st.size for st in stages] == [1, 2, 4]
+    assert verify_construction(stages, glue, s3, out.certificate) == []
     # substructure chain: earlier extents are the restriction of later ones
-    for a, b in zip(staged.stages, staged.stages[1:]):
+    for a, b in zip(stages, stages[1:]):
         for name, _ in s3.signature:
             restricted = {t for t in b.extents[name]
                           if all(e < a.size for e in t)}
@@ -283,39 +283,46 @@ def test_staged_s3(s3):
 
 def test_staged_s1_stays_singleton(s1):
     out = gfp_solve(s1)
-    staged = build_model_sequence(s1, out.certificate, 5)
-    assert [st.size for st in staged.stages] == [1] * 6
-    assert verify_construction(staged, s1, out.certificate) == []
+    stages, glue = build_model_sequence(s1, out.certificate, 5)
+    assert [st.size for st in stages] == [1] * 6
+    assert verify_construction(stages, glue, s1, out.certificate) == []
 
 
 def test_staged_s4_conflict(s4):
     out = gfp_solve(s4)
-    res = build_model_sequence(s4, out.certificate, 2)
-    assert isinstance(res, ConstructionConflict)
-    assert res.stage == 2
-    assert res.relation == "R"
-    assert res.tuple_ == (0, 1)  # (b0, d)
-    assert res.required is False and res.existing is True
+    with pytest.raises(ConstructionConflict) as e:
+        build_model_sequence(s4, out.certificate, 2)
+    report = e.value.args[0]
+    assert report["stage"] == 2
+    assert report["relation"] == "R"
+    assert report["tuple"] == [0, 1]  # (b0, d)
+    assert report["required"] is False and report["existing"] is True
 
 
 def test_staged_depth_zero(s3):
     out = gfp_solve(s3)
-    staged = build_model_sequence(s3, out.certificate, 0)
-    assert len(staged.stages) == 1
-    assert verify_construction(staged, s3, out.certificate) == []
+    stages, glue = build_model_sequence(s3, out.certificate, 0)
+    assert len(stages) == 1 and glue == []
+    assert verify_construction(stages, glue, s3, out.certificate) == []
 
 
 def test_verify_detects_corruption(s3):
     out = gfp_solve(s3)
-    staged = build_model_sequence(s3, out.certificate, 2)
-    last = staged.stages[-1]
+    stages, glue = build_model_sequence(s3, out.certificate, 2)
+    last = stages[-1]
     assert (1, 3) in last.extents["E"]  # element 1's witness tuple
     flipped = FiniteStructure(
         signature=last.signature, size=last.size,
         extents={"E": last.extents["E"] - {(1, 3)}})
-    staged.stages[-1] = flipped
-    failures = verify_construction(staged, s3, out.certificate)
+    failures = verify_construction(stages[:-1] + [flipped], glue, s3,
+                                   out.certificate)
     assert any(f.startswith("R2") for f in failures)
+    # a glue row whose type is not its element's
+    stage, b, pi, emap = glue[-1]
+    other = next(t for t in enumerate_one_types(s3.signature) if t != pi)
+    failures = verify_construction(stages, glue[:-1] + [(stage, b, other, emap)],
+                                   s3, out.certificate)
+    assert any(f.startswith("R3") for f in failures)
 
 
 def test_missing_strategy_entry(s3):
